@@ -3,13 +3,15 @@ Sinkhorn demo, and gradient verification.
 
 Every run writes a JSON manifest next to its primary output with the fully
 resolved configuration, so any result can be reproduced from the manifest
-alone. Exit codes: 0 success, 1 I/O error, 2 usage error, 3 numerical abort.
+alone. Exit codes: 0 success, 1 I/O or file-format error, 2 usage error,
+3 numerical abort.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -134,7 +136,7 @@ def _flags_to_config(args) -> tuple[TrainConfig, dict]:
     and the set of inline overrides for the manifest."""
     kv: dict = {}
     if args.config:
-        base = config_from_text(open(args.config).read())
+        base = config_from_text(Path(args.config).read_text())
         kv = {k: v for k, v in
               (line.split("=", 1) for line in
                config_to_text(base).strip().splitlines())}

@@ -127,42 +127,62 @@ def _converged_solve(log_kernel: np.ndarray, tol: float,
 
     r = np.full(k, 1.0 / k)
     c = np.full(b, 1.0 / b)
-    eye = np.eye(k + b - 1)
+    m = np.exp(log_kernel + u[:, None] + v[None, :])
+    row, col = m.sum(axis=1), m.sum(axis=0)
     for _ in range(max_iterations):
-        m = np.exp(log_kernel + u[:, None] + v[None, :])
-        row, col = m.sum(axis=1), m.sum(axis=0)
         residual = max(np.abs(row - r).max(), np.abs(col - c).max())
         if residual < tol:
             return m
-        # Newton system on (u, v[:-1]); last v pinned to absorb the
-        # translation invariance u+t, v-t of the potentials
-        h = np.zeros((k + b - 1, k + b - 1))
-        h[:k, :k] = np.diag(row)
-        h[k:, k:] = np.diag(col[:-1])
-        h[:k, k:] = m[:, :-1]
-        h[k:, :k] = m[:, :-1].T
-        g = np.concatenate([row - r, (col - c)[:-1]])
-        try:
-            step = np.linalg.solve(h + 1e-300 * eye, -g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(h, -g, rcond=None)[0]
-        du, dv = step[:k], np.append(step[k:], 0.0)
+        du, dv = _newton_step(m, row, col, row - r, (col - c)[:-1])
 
-        accepted = False
         t = 1.0
         for _ in range(40):  # backtrack on the marginal residual
-            log_m = log_kernel + (u + t * du)[:, None] + (v + t * dv)[None, :]
-            mt = np.exp(np.minimum(log_m, 60.0))
-            trial = max(np.abs(mt.sum(axis=1) - r).max(),
-                        np.abs(mt.sum(axis=0) - c).max())
+            ut, vt = u + t * du, v + t * dv
+            mt = log_kernel + ut[:, None] + vt[None, :]
+            np.exp(np.minimum(mt, 60.0, out=mt), out=mt)
+            rowt, colt = mt.sum(axis=1), mt.sum(axis=0)
+            trial = max(np.abs(rowt - r).max(), np.abs(colt - c).max())
             if np.isfinite(trial) and trial < residual:
-                u, v = u + t * du, v + t * dv
-                accepted = True
+                # an accepted trial never hit the clamp (its mass would
+                # exceed e^60), so it is exactly the next iterate's m
+                u, v, m, row, col = ut, vt, mt, rowt, colt
                 break
             t *= 0.5
-        if not accepted:
+        else:
             u, v = sweep(u, v)
-    return np.exp(log_kernel + u[:, None] + v[None, :])
+            m = np.exp(log_kernel + u[:, None] + v[None, :])
+            row, col = m.sum(axis=1), m.sum(axis=0)
+    return m
+
+
+def _newton_step(m, row, col, g_u, g_v):
+    """Newton step (du, dv) on the potentials for the system
+    [[diag(row), M'], [M'^T, diag(col')]] (du, dv') = -(g_u, g_v), where
+    M' and col' drop the last column, whose v is pinned (dv[-1] = 0) to
+    absorb the translation invariance u+t, v-t of the potentials.
+
+    Both diagonal blocks are diagonal, so the larger one is eliminated and
+    only the min(K, B-1)-sized Schur complement is factorized (Brauer,
+    Clason, Lorenz & Wirth, arXiv:1710.06635).
+    """
+    k, b = m.shape
+    mp, cp = m[:, :-1], col[:-1]
+    if k <= b - 1:
+        a = mp / cp
+        du = _solve(np.diag(row) - a @ mp.T, a @ g_v - g_u)
+        dv = (-g_v - mp.T @ du) / cp
+    else:
+        a = mp / row[:, None]
+        dv = _solve(np.diag(cp) - mp.T @ a, a.T @ g_u - g_v)
+        du = (-g_u - mp @ dv) / row
+    return du, np.append(dv, 0.0)
+
+
+def _solve(h, rhs):
+    try:
+        return np.linalg.solve(h, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(h, rhs, rcond=None)[0]
 
 
 def entropy(q: CodeMatrix | np.ndarray) -> float:

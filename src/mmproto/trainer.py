@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PairedCorpus, batches, n_batches
+from .data import FormatError, PairedCorpus, batches, n_batches
 from .model import (Encoder, EncoderConfig, PrototypeBank, embed, init_model,
                     renormalize_prototypes)
 from .numerics import GradientTape, backward
@@ -38,7 +38,7 @@ class NumericalAbort(RuntimeError):
             f"batch indices {self.batch_indices}")
 
 
-class VersionError(ValueError):
+class VersionError(FormatError):
     pass
 
 
@@ -386,33 +386,47 @@ def save_checkpoint(ckpt: Checkpoint, path):
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         blob = f.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise VersionError(f"bad checkpoint magic: {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    offset = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise FormatError(
+                f"truncated checkpoint: {what} needs {n} bytes at offset "
+                f"{offset}, file is {len(blob)} bytes")
+        offset += n
+        return blob[offset - n:offset]
+
+    def take_u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    magic = take(4, "magic")
+    if magic != CHECKPOINT_MAGIC:
+        raise VersionError(f"bad checkpoint magic at offset 0: {magic!r}")
+    version = take_u32("version")
     if version != CHECKPOINT_VERSION:
-        raise VersionError(f"unsupported checkpoint version {version}")
-    (cfg_len,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
-    config = config_from_text(blob[offset:offset + cfg_len].decode("utf-8"))
-    offset += cfg_len
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+        raise VersionError(
+            f"unsupported checkpoint version {version} at offset 4")
+    cfg_len = take_u32("config length")
+    cfg_text = take(cfg_len, "config text")
+    try:
+        config = config_from_text(cfg_text.decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"bad config text at offset 12: {exc}") from exc
+    count = take_u32("tensor count")
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
+        name_len = take_u32("tensor name length")
+        name = take(name_len, "tensor name").decode("utf-8")
+        rank = take_u32(f"rank of {name}")
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
         size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size,
-                            offset=offset).reshape(dims).copy()
-        offset += 8 * size
-        tensors[name] = arr
+        tensors[name] = np.frombuffer(
+            take(8 * size, f"data of {name}"), dtype="<f8").reshape(dims).copy()
+    if offset != len(blob):
+        raise FormatError(
+            f"{len(blob) - offset} trailing bytes at offset {offset}")
 
     params = {k[len("param."):]: v for k, v in tensors.items()
               if k.startswith("param.")}

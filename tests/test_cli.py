@@ -168,6 +168,23 @@ class TestProbe:
         assert len(results.read_text().splitlines()) == 2
 
 
+class TestCheckpointFormat:
+    @pytest.mark.parametrize("part", ["header", "config", "tensor"])
+    def test_truncated_checkpoint_format_error(self, tmp_path, corpus_file,
+                                               trained_ckpt, capsys, part):
+        blob = trained_ckpt.read_bytes()
+        cfg_len = int.from_bytes(blob[8:12], "little")
+        cut = {"header": 6, "config": 12 + cfg_len // 2,
+               "tensor": len(blob) - 3}[part]
+        truncated = tmp_path / "cut.ckpt"
+        truncated.write_bytes(blob[:cut])
+        code, _, err = run(capsys, "probe", "--ckpt", str(truncated),
+                           "--data", str(corpus_file), "--probe", "cluster")
+        assert code == EXIT_IO
+        assert err.startswith("error: truncated checkpoint")
+        assert "offset" in err
+
+
 class TestCodes:
     def test_zero_scores_uniform(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmproto import sinkhorn
 from mmproto.numerics import DimensionError
 from mmproto.sinkhorn import (CodeMatrix, InputError, SinkhornConfig,
                               compute_codes, converged_config, entropy,
@@ -93,6 +96,57 @@ class TestComputeCodes:
             devs.append(max(compute_codes(scores, cfg).marginal_deviation()))
         for earlier, later in zip(devs, devs[1:]):
             assert later <= earlier + 1e-12
+
+
+def dense_newton_step(m, row, col, g_u, g_v):
+    """Reference: the full (K+B-1)^2 Newton system on (u, v[:-1])."""
+    k, b = m.shape
+    h = np.zeros((k + b - 1, k + b - 1))
+    h[:k, :k] = np.diag(row)
+    h[k:, k:] = np.diag(col[:-1])
+    h[:k, k:] = m[:, :-1]
+    h[k:, :k] = m[:, :-1].T
+    step = np.linalg.solve(h, -np.concatenate([g_u, g_v]))
+    return step[:k], np.append(step[k:], 0.0)
+
+
+class TestNewtonStep:
+    # K < B, K > B, and both sides of the branch boundary K = B-1 | K = B
+    @pytest.mark.parametrize("k,b", [(6, 40), (40, 6), (9, 9), (8, 9)])
+    @pytest.mark.parametrize("epsilon", [1.0, EPS])
+    def test_matches_dense_system(self, k, b, epsilon):
+        rng = np.random.default_rng(k * 100 + b)
+        m = np.exp(random_scores(rng, k, b) / epsilon)
+        m /= m.sum()
+        row, col = m.sum(axis=1), m.sum(axis=0)
+        g_u, g_v = row - 1.0 / k, (col - 1.0 / b)[:-1]
+        du, dv = sinkhorn._newton_step(m, row, col, g_u, g_v)
+        ref_u, ref_v = dense_newton_step(m, row, col, g_u, g_v)
+        step, ref = np.concatenate([du, dv]), np.concatenate([ref_u, ref_v])
+        assert dv[-1] == 0.0
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("k,b", [(64, 1024), (1024, 64)])
+    def test_peak_memory_linear_in_kernel(self, k, b, monkeypatch):
+        # a dense (K+B-1)^2 Newton system alone is 18x K*B*8 bytes here
+        steps = []
+        newton_step = sinkhorn._newton_step
+
+        def counted(*args):
+            steps.append(1)
+            return newton_step(*args)
+
+        monkeypatch.setattr(sinkhorn, "_newton_step", counted)
+        scores = random_scores(np.random.default_rng(5), k, b)
+        tracemalloc.start()
+        try:
+            codes = compute_codes(scores, converged_config(EPS))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert steps, "the Newton path was not exercised"
+        assert max(codes.marginal_deviation()) < 1e-6
+        assert peak < 16 * k * b * 8, f"peak {peak / (k * b * 8):.1f} x K*B*8"
 
 
 class TestEntropy:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mmproto.data import CorpusSpec, generate
+from mmproto.data import CorpusSpec, FormatError, generate
 from mmproto.model import EncoderConfig
 from mmproto.objective import LossConfig
 from mmproto.sinkhorn import SinkhornConfig
@@ -217,6 +217,26 @@ class TestCheckpointFile:
         blob[4] = CHECKPOINT_VERSION + 1
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionError):
+            load_checkpoint(path)
+
+    def test_truncated_anywhere(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        blob = path.read_bytes()
+        # every offset through the header, config text and first tensor
+        # header, then every 7th byte (all residues mod 4 and 8)
+        prefix = 12 + int.from_bytes(blob[8:12], "little") + 64
+        for cut in [*range(prefix), *range(prefix, len(blob), 7)]:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(FormatError,
+                               match=r"^truncated checkpoint: .* offset \d+"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(path)
 
     def test_random_init_checkpoint_probe_ready(self):
