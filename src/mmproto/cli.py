@@ -3,8 +3,8 @@ Sinkhorn demo, and gradient verification.
 
 Every run writes a JSON manifest next to its primary output with the fully
 resolved configuration, so any result can be reproduced from the manifest
-alone. Exit codes: 0 success, 1 I/O or file-format error, 2 usage error,
-3 numerical abort.
+alone. Exit codes: 0 success, 1 I/O error, otherwise the `exit_code` of
+the `mmproto.errors` class raised (1 file format, 2 usage, 3 numerical).
 """
 from __future__ import annotations
 
@@ -16,19 +16,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (ConfigurationError, CorpusSpec, FormatError, generate,
-                   load_corpus, save_corpus)
+from .data import CorpusSpec, generate, load_corpus, save_corpus
+from .errors import Error, FormatError, NumericalError, UsageError
 from .evaluation import cluster_agreement, knn_probe, linear_probe
 from .gradcheck import TOLERANCE, run_suite
 from .sinkhorn import SinkhornConfig, compute_codes, converged_config
-from .trainer import (NumericalAbort, TrainConfig, config_from_dict,
-                      config_from_text, config_to_text, load_checkpoint,
-                      save_checkpoint, train)
+from .trainer import (TrainConfig, config_from_dict, config_from_text,
+                      config_to_text, load_checkpoint, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_USAGE = 2
-EXIT_NUMERIC = 3
+EXIT_USAGE = UsageError.exit_code
+EXIT_NUMERIC = NumericalError.exit_code
 
 
 def _write_manifest(path, command: str, config: dict, paths: dict, seed):
@@ -134,12 +133,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _flags_to_config(args) -> tuple[TrainConfig, dict]:
     """Resolve defaults < --config file < inline flags; returns the config
     and the set of inline overrides for the manifest."""
-    kv: dict = {}
+    base = None
     if args.config:
-        base = config_from_text(Path(args.config).read_text())
-        kv = {k: v for k, v in
-              (line.split("=", 1) for line in
-               config_to_text(base).strip().splitlines())}
+        base = config_from_text(Path(args.config).read_text(errors="replace"))
     overrides = {}
     flag_map = {
         "epochs": "epochs", "batch_size": "batch_size", "lr": "base_lr",
@@ -152,9 +148,8 @@ def _flags_to_config(args) -> tuple[TrainConfig, dict]:
     for flag, key in flag_map.items():
         value = getattr(args, flag)
         if value is not None:
-            kv[key] = str(value)
             overrides[key] = str(value)
-    return config_from_dict(kv), overrides
+    return config_from_dict(overrides, base), overrides
 
 
 def _cmd_gen_data(args) -> int:
@@ -175,6 +170,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     config, overrides = _flags_to_config(args)
+    if args.resume and (args.config or overrides):
+        raise UsageError("--resume takes its config from the checkpoint; "
+                         "drop --config and the config flags")
     corpus = load_corpus(args.data)
     resume = load_checkpoint(args.resume) if args.resume else None
     if resume is not None:
@@ -198,9 +196,6 @@ def _cmd_pretrain(args) -> int:
     try:
         ckpt, metrics = train(corpus, config, resume_from=resume,
                               metrics_sink=sink, stop_after=args.stop_after)
-    except NumericalAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     finally:
         if metrics_file:
             metrics_file.close()
@@ -236,7 +231,12 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_codes(args) -> int:
-    scores = np.loadtxt(args.scores, delimiter=",", ndmin=2)
+    try:
+        scores = np.loadtxt(args.scores, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"{args.scores}: {exc}") from None
+    if scores.size == 0:
+        raise FormatError(f"{args.scores}: no scores")
     if args.converged:
         config = converged_config(args.epsilon)
     else:
@@ -272,12 +272,9 @@ def main(argv=None) -> int:
                 "gradcheck": _cmd_gradcheck}
     try:
         return handlers[args.command](args)
-    except (ConfigurationError, ValueError) as exc:
-        if isinstance(exc, (FormatError,)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Error as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FormatError, UsageError
+
 MAGIC = b"MMP1"
 FORMAT_VERSION = 1
 
@@ -29,14 +31,6 @@ FORMAT_VERSION = 1
 MODALITY_NOISE_SCALE = 5.0
 
 _MASK = (1 << 64) - 1
-
-
-class ConfigurationError(ValueError):
-    pass
-
-
-class FormatError(ValueError):
-    """Corpus file is malformed; the message names the byte offset."""
 
 
 class SplitMix64:
@@ -96,12 +90,12 @@ class CorpusSpec:
 
     def __post_init__(self):
         if self.n_latent_clusters < 2:
-            raise ConfigurationError(
+            raise UsageError(
                 f"need >= 2 latent clusters, got {self.n_latent_clusters}")
         if min(self.n_samples, self.latent_dim, self.d1, self.d2) < 1:
-            raise ConfigurationError("counts and dims must be >= 1")
+            raise UsageError("counts and dims must be >= 1")
         if self.noise_sigma < 0:
-            raise ConfigurationError(
+            raise UsageError(
                 f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
@@ -157,7 +151,7 @@ def generate(spec: CorpusSpec) -> PairedCorpus:
 def batches(corpus: PairedCorpus, batch_size: int, epoch_seed: int):
     """Seeded shuffle into aligned batches; a trailing batch of 1 is dropped."""
     if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
+        raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     n = corpus.n_samples
     order = np.arange(n)
     rng = SplitMix64(epoch_seed)
@@ -222,4 +216,9 @@ def load_corpus(path) -> PairedCorpus:
     if has_labels:
         labels = np.frombuffer(blob, dtype="<u4", count=n,
                                offset=offset).astype(np.int64)
+        bad = np.flatnonzero(labels >= n)
+        if bad.size:
+            raise FormatError(
+                f"label {labels[bad[0]]} at offset {offset + 4 * bad[0]} "
+                f"is not below the sample count {n}")
     return PairedCorpus(m1, m2, labels)

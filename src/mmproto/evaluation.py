@@ -12,16 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import PairedCorpus, SplitMix64
+from .errors import UsageError
 from .model import embed, prototype_scores
-from .numerics import GradientTape, ParameterError, Tensor, backward
+from .numerics import GradientTape, Tensor, backward
 from .trainer import Checkpoint, model_from_checkpoint
 
 PROBE_STEPS = 500
 PROBE_LR = 0.1
-
-
-class InputError(ValueError):
-    pass
 
 
 @dataclass
@@ -61,7 +58,7 @@ def _embeddings(ckpt: Checkpoint, corpus: PairedCorpus, modality: str):
         z = np.hstack([embed(encoder, corpus.modality1, 0).data,
                        embed(encoder, corpus.modality2, 1).data])
     else:
-        raise ParameterError(f"unknown modality {modality!r}")
+        raise UsageError(f"unknown modality {modality!r}")
     return z, bank
 
 
@@ -107,7 +104,7 @@ def train_linear_classifier(features: np.ndarray, labels: np.ndarray,
 def linear_probe(ckpt: Checkpoint, corpus: PairedCorpus, split_seed: int,
                  modality: str = "m1") -> ProbeReport:
     if corpus.labels is None:
-        raise InputError("corpus has no labels")
+        raise UsageError("corpus has no labels")
     z, _ = _embeddings(ckpt, corpus, modality)
     labels = corpus.labels
     n_classes = int(labels.max()) + 1
@@ -123,14 +120,14 @@ def linear_probe(ckpt: Checkpoint, corpus: PairedCorpus, split_seed: int,
 def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
               split_seed: int, modality: str = "m1") -> ProbeReport:
     if corpus.labels is None:
-        raise InputError("corpus has no labels")
+        raise UsageError("corpus has no labels")
     if k_neighbors < 1:
-        raise ParameterError(f"k_neighbors must be >= 1, got {k_neighbors}")
+        raise UsageError(f"k_neighbors must be >= 1, got {k_neighbors}")
     z, _ = _embeddings(ckpt, corpus, modality)
     labels = corpus.labels
     train_idx, test_idx = _split(corpus.n_samples, split_seed)
     if k_neighbors > len(train_idx):
-        raise ParameterError(
+        raise UsageError(
             f"k_neighbors {k_neighbors} exceeds train size {len(train_idx)}")
 
     sims = z[test_idx] @ z[train_idx].T  # rows unit-norm: dot = cosine
@@ -182,7 +179,7 @@ def purity_score(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus) -> ClusterReport:
     if corpus.labels is None:
-        raise InputError("corpus has no labels")
+        raise UsageError("corpus has no labels")
     z, bank = _embeddings(ckpt, corpus, "m1")
     scores = prototype_scores(z, bank).data  # K x n
     assignments = scores.argmax(axis=0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EncoderConfig, embed, init_model, prototype_scores
+from .model import EncoderConfig, embed, init_model
 from .numerics import (GradientTape, Tensor, backward, finite_difference,
                        relative_gradient_error)
 from .objective import (FeatureQueue, LossConfig, compute_batch_codes,
@@ -62,15 +62,6 @@ def run_suite(seed: int = 0, perturb: str | None = None) -> list[CheckResult]:
         {"a": a, "b": b}, perturb))
 
     m = rng.standard_normal((4, 6))
-    weight = rng.standard_normal((4, 6))
-    results.append(_check(
-        "softmax", lambda p: (p["m"].softmax_rows(0.5) * Tensor(weight)).sum(),
-        {"m": m.copy()}, perturb))
-
-    pos = np.abs(rng.standard_normal((3, 3))) + 0.5
-    results.append(_check(
-        "log", lambda p: (p["m"].log() * 0.3).sum(), {"m": pos}, perturb))
-
     results.append(_check(
         "l2_normalize",
         lambda p: (p["m"].l2_normalize_rows() *

@@ -12,13 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DimensionError, Tensor
+from .errors import UsageError
+from .numerics import Tensor
 
 PROTOTYPE_RESEED = 0x5eed  # auxiliary seed for re-randomizing dead prototypes
-
-
-class ConfigurationError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -30,11 +27,11 @@ class EncoderConfig:
     def __post_init__(self):
         dims = (*self.input_dims, *self.hidden_dims, self.embed_dim)
         if len(self.input_dims) != 2:
-            raise ConfigurationError("exactly two modalities are supported")
+            raise UsageError("exactly two modalities are supported")
         if not self.hidden_dims:
-            raise ConfigurationError("at least one hidden layer is required")
+            raise UsageError("at least one hidden layer is required")
         if any(d < 1 for d in dims):
-            raise ConfigurationError(f"all dims must be >= 1, got {dims}")
+            raise UsageError(f"all dims must be >= 1, got {dims}")
 
 
 class Encoder:
@@ -77,11 +74,11 @@ class Encoder:
     def trunk_forward(self, batch, modality: int) -> Tensor:
         """Shared-trunk activations, before the projection head."""
         if modality not in (0, 1):
-            raise ConfigurationError(f"modality must be 0 or 1, got {modality}")
+            raise UsageError(f"modality must be 0 or 1, got {modality}")
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
         w, b = self.adapters[modality]
         if x.shape[1] != w.shape[0]:
-            raise DimensionError(
+            raise UsageError(
                 f"modality {modality + 1} expects width {w.shape[0]}, "
                 f"got {x.shape[1]}")
         h = (x @ w + b).relu()
@@ -116,7 +113,7 @@ class PrototypeBank:
 def init_model(config: EncoderConfig, k: int,
                seed: int) -> tuple[Encoder, PrototypeBank]:
     if k < 2:
-        raise ConfigurationError(f"need at least 2 prototypes, got {k}")
+        raise UsageError(f"need at least 2 prototypes, got {k}")
     rng = np.random.default_rng(seed)
     encoder = Encoder(config, rng)
     bound = 1.0 / np.sqrt(config.embed_dim)
@@ -135,7 +132,7 @@ def prototype_scores(z, bank: PrototypeBank):
     """scores[k, b] = c_k . z_b, shape K x B; differentiable in z and C."""
     zt = z if isinstance(z, Tensor) else Tensor(z)
     if zt.shape[1] != bank.dim:
-        raise DimensionError(
+        raise UsageError(
             f"embedding dim {zt.shape[1]} vs prototype dim {bank.dim}")
     return bank.c @ zt.T
 

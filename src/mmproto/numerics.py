@@ -10,51 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class DimensionError(ValueError):
-    """Shapes do not line up for the requested operation."""
-
-
-class ParameterError(ValueError):
-    """A numeric parameter is outside its valid range."""
+from .errors import UsageError
 
 
 def as_matrix(x) -> np.ndarray:
     m = np.ascontiguousarray(x, dtype=np.float64)
     if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
+        raise UsageError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul shape mismatch: {a.shape[0]}x{a.shape[1]} times "
-            f"{b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def softmax_rows(m, temperature: float = 1.0) -> np.ndarray:
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
-    m = as_matrix(m) / temperature
-    m = m - m.max(axis=1, keepdims=True)  # overflow guard
-    e = np.exp(m)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize each row to unit Euclidean norm.
-
-    Returns (normalized, zero_mask); rows with zero norm are left unchanged
-    and flagged in the boolean mask.
-    """
-    m = as_matrix(m)
-    norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
-    zero = norms[:, 0] == 0.0
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return m / safe, zero
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -112,12 +75,6 @@ class Tensor:
             self._accum(-g)
         return self._make(-self.data, (self,), backward)
 
-    def __sub__(self, other):
-        return self + (-self._wrap(other))
-
-    def __rsub__(self, other):
-        return self._wrap(other) + (-self)
-
     def __mul__(self, other):
         other = self._wrap(other)
         out_data = self.data * other.data
@@ -130,23 +87,12 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = self._wrap(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            self._accum(_unbroadcast(g / other.data, self.data.shape))
-            other._accum(_unbroadcast(
-                -g * self.data / (other.data * other.data), other.data.shape))
-
-        return self._make(out_data, (self, other), backward)
-
     # ---- matrix ops ----
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._wrap(other)
         if self.data.shape[1] != other.data.shape[0]:
-            raise DimensionError(
+            raise UsageError(
                 f"matmul shape mismatch: {self.data.shape} times "
                 f"{other.data.shape}")
         out_data = self.data @ other.data
@@ -175,19 +121,6 @@ class Tensor:
 
         return self._make(self.data * mask, (self,), backward)
 
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            self._accum(g * out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(g):
-            self._accum(g / self.data)
-        return self._make(np.log(self.data), (self,), backward)
-
     def sum(self) -> "Tensor":
         shape = self.data.shape
 
@@ -196,30 +129,9 @@ class Tensor:
 
         return self._make(np.array([[self.data.sum()]]), (self,), backward)
 
-    def sum_rows(self) -> "Tensor":
-        """Row-wise sum with keepdims, shape (n, 1)."""
-        n_cols = self.data.shape[1]
-
-        def backward(g):
-            self._accum(np.repeat(g, n_cols, axis=1))
-
-        return self._make(self.data.sum(axis=1, keepdims=True),
-                          (self,), backward)
-
-    def softmax_rows(self, temperature: float = 1.0) -> "Tensor":
-        if temperature <= 0:
-            raise ParameterError(f"temperature must be > 0, got {temperature}")
-        p = softmax_rows(self.data, temperature)
-
-        def backward(g):
-            dot = (g * p).sum(axis=1, keepdims=True)
-            self._accum(p * (g - dot) / temperature)
-
-        return self._make(p, (self,), backward)
-
     def log_softmax_rows(self, temperature: float = 1.0) -> "Tensor":
         if temperature <= 0:
-            raise ParameterError(f"temperature must be > 0, got {temperature}")
+            raise UsageError(f"temperature must be > 0, got {temperature}")
         s = self.data / temperature
         s = s - s.max(axis=1, keepdims=True)
         logp = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
@@ -232,6 +144,12 @@ class Tensor:
 
     def l2_normalize_rows(self) -> "Tensor":
         norms = np.sqrt((self.data * self.data).sum(axis=1, keepdims=True))
+        tiny = norms[:, 0] < 1e-150  # squares below ~1e-308 lose bits
+        if tiny.any():
+            peak = np.abs(self.data[tiny]).max(axis=1, keepdims=True)
+            peak[peak == 0.0] = 1.0
+            norms[tiny] = peak * np.sqrt(
+                ((self.data[tiny] / peak) ** 2).sum(axis=1, keepdims=True))
         safe = np.where(norms == 0.0, 1.0, norms)
         y = self.data / safe
 
@@ -247,14 +165,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    def detach(self) -> np.ndarray:
-        return self.data.copy()
-
-
-class UsageError(ValueError):
-    """The gradient machinery was invoked on an unsupported input."""
-
 
 class GradientTape:
     """Registry of watched parameters; single-owner, not thread-safe."""

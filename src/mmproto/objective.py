@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import UsageError
 from .model import PrototypeBank, prototype_scores
-from .numerics import DimensionError, Tensor
+from .numerics import Tensor
 from .sinkhorn import SinkhornConfig, compute_codes
-
-
-class InputError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -31,17 +28,10 @@ class LossConfig:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ValueError(
+            raise UsageError(
                 f"temperature must be > 0, got {self.temperature}")
         if self.queue_length < 0:
-            raise ValueError("queue_length must be >= 0")
-
-
-@dataclass
-class AssignmentDistribution:
-    """Softmax prototype-assignment probabilities, one row per sample."""
-
-    p: np.ndarray
+            raise UsageError("queue_length must be >= 0")
 
 
 class FeatureQueue:
@@ -80,31 +70,6 @@ def enqueue(queue: FeatureQueue, z1, z2) -> FeatureQueue:
     return queue
 
 
-def predict_assignments(z, bank: PrototypeBank,
-                        temperature: float) -> AssignmentDistribution:
-    """p[b, k] = softmax_k(z_b . c_k / temperature)."""
-    scores = prototype_scores(z, bank)  # K x B
-    p = scores.T.softmax_rows(temperature)
-    return AssignmentDistribution(p.data)
-
-
-def cross_entropy_term(p: AssignmentDistribution | np.ndarray,
-                       q_rows: np.ndarray) -> float:
-    """Mean over the batch of -sum_k q[b,k] log p[b,k].
-
-    `q_rows` holds the Sinkhorn code columns rescaled to probability rows
-    (each row sums to 1). Log is clamped at 1e-12.
-    """
-    probs = p.p if isinstance(p, AssignmentDistribution) else np.asarray(p)
-    q = np.asarray(q_rows, dtype=np.float64)
-    if probs.shape != q.shape:
-        raise DimensionError(f"p {probs.shape} vs q {q.shape}")
-    if (q < 0).any():
-        raise InputError("code rows must be non-negative")
-    logp = np.log(np.maximum(probs, 1e-12))
-    return float(-(q * logp).sum(axis=1).mean())
-
-
 def compute_batch_codes(z: np.ndarray, bank: PrototypeBank,
                         queue_rows: np.ndarray | None,
                         config: SinkhornConfig) -> np.ndarray:
@@ -134,10 +99,10 @@ def swapped_loss(z1: Tensor, z2: Tensor, bank: PrototypeBank,
     Detached copies of both batches are enqueued afterwards.
     """
     if z1.shape != z2.shape:
-        raise DimensionError(f"view shapes differ: {z1.shape} vs {z2.shape}")
+        raise UsageError(f"view shapes differ: {z1.shape} vs {z2.shape}")
     b = z1.shape[0]
     if b == 0:
-        raise InputError("batch is empty")
+        raise UsageError("batch is empty")
 
     queue_rows1 = queue_rows2 = None
     if use_queue and queue is not None and queue.fill > 0:

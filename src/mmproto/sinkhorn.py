@@ -12,11 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionError, as_matrix
-
-
-class InputError(ValueError):
-    """Scores contain non-finite entries."""
+from .errors import NumericalError, UsageError
+from .numerics import as_matrix
 
 
 @dataclass(frozen=True)
@@ -27,21 +24,16 @@ class SinkhornConfig:
 
     def __post_init__(self):
         if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+            raise UsageError(f"epsilon must be > 0, got {self.epsilon}")
         if self.n_iterations < 1:
-            raise ValueError(
+            raise UsageError(
                 f"n_iterations must be >= 1, got {self.n_iterations}")
         if self.convergence_tolerance < 0:
-            raise ValueError("convergence_tolerance must be >= 0")
-
-
-#: solver settings used by tests and acceptance runs: iterate to a fixed
-#: point instead of a fixed sweep count.
-CONVERGED = SinkhornConfig(epsilon=0.05, n_iterations=1000,
-                           convergence_tolerance=1e-8)
+            raise UsageError("convergence_tolerance must be >= 0")
 
 
 def converged_config(epsilon: float) -> SinkhornConfig:
+    """Iterate to the fixed point instead of a fixed sweep count."""
     return SinkhornConfig(epsilon=epsilon, n_iterations=1000,
                           convergence_tolerance=1e-8)
 
@@ -51,14 +43,6 @@ class CodeMatrix:
     """Soft assignment Q (K x B) with equipartition marginals."""
 
     q: np.ndarray
-
-    @property
-    def n_prototypes(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.q.shape[1]
 
     def marginal_deviation(self) -> tuple[float, float]:
         """(max row-sum deviation from 1/K, max col-sum deviation from 1/B)."""
@@ -80,7 +64,7 @@ def compute_codes(scores, config: SinkhornConfig) -> CodeMatrix:
     """
     scores = as_matrix(scores)
     if not np.isfinite(scores).all():
-        raise InputError("scores contain NaN or Inf")
+        raise NumericalError("scores contain NaN or Inf")
     k, b = scores.shape
 
     tol = config.convergence_tolerance
@@ -189,7 +173,7 @@ def entropy(q: CodeMatrix | np.ndarray) -> float:
     """Shannon entropy -sum(q log q) with 0 log 0 := 0."""
     m = q.q if isinstance(q, CodeMatrix) else as_matrix(q)
     if (m < 0).any():
-        raise InputError("entropy requires non-negative entries")
+        raise UsageError("entropy requires non-negative entries")
     nz = m[m > 0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -204,6 +188,6 @@ def transport_objective(scores, q: CodeMatrix | np.ndarray,
     scores = as_matrix(scores)
     m = q.q if isinstance(q, CodeMatrix) else as_matrix(q)
     if scores.shape != m.shape:
-        raise DimensionError(
+        raise UsageError(
             f"scores {scores.shape} vs codes {m.shape}")
     return float((m * scores).sum()) + epsilon * entropy(m)

@@ -9,37 +9,22 @@ checkpoint, including the feature queue and momentum buffers.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FormatError, PairedCorpus, batches, n_batches
-from .model import (Encoder, EncoderConfig, PrototypeBank, embed, init_model,
+from .data import PairedCorpus, batches, n_batches
+from .errors import FormatError, NumericalAbort, NumericalError, UsageError
+from .model import (EncoderConfig, PrototypeBank, embed, init_model,
                     renormalize_prototypes)
 from .numerics import GradientTape, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
-from .sinkhorn import InputError as SinkhornInputError
-from .sinkhorn import SinkhornConfig
 
 CHECKPOINT_MAGIC = b"MMCK"
 CHECKPOINT_VERSION = 1
-
-
-class NumericalAbort(RuntimeError):
-    """Loss went non-finite; carries the iteration and batch for diagnosis."""
-
-    def __init__(self, iteration: int, batch_indices, loss_value: float):
-        self.iteration = iteration
-        self.batch_indices = list(batch_indices)
-        self.loss_value = loss_value
-        super().__init__(
-            f"non-finite loss {loss_value} at iteration {iteration}, "
-            f"batch indices {self.batch_indices}")
-
-
-class VersionError(FormatError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -56,11 +41,13 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise UsageError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.base_lr < 0:
-            raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
+            raise UsageError(f"base_lr must be >= 0, got {self.base_lr}")
         if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
+            raise UsageError(f"momentum must be in [0,1), got {self.momentum}")
 
 
 @dataclass
@@ -94,28 +81,30 @@ class Checkpoint:
 
 # ---- canonical config text ----------------------------------------------
 
+#: tuple fields written one element per key, under their historical names
+_SPLIT_KEYS = {"encoder.input_dims": ("encoder.d1", "encoder.d2")}
+
+
+def _leaves(cfg, prefix=""):
+    """(dotted key, value) of every field, walking nested configs."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
 def config_to_text(cfg: TrainConfig) -> str:
     """Flatten to sorted key=value lines; embeddable in checkpoint files."""
-    items = {
-        "batch_size": cfg.batch_size,
-        "base_lr": repr(cfg.base_lr),
-        "encoder.d1": cfg.encoder.input_dims[0],
-        "encoder.d2": cfg.encoder.input_dims[1],
-        "encoder.embed_dim": cfg.encoder.embed_dim,
-        "encoder.hidden_dims": ",".join(map(str, cfg.encoder.hidden_dims)),
-        "epochs": cfg.epochs,
-        "k_prototypes": cfg.k_prototypes,
-        "loss.queue_length": cfg.loss.queue_length,
-        "loss.queue_start_iteration": cfg.loss.queue_start_iteration,
-        "loss.sinkhorn.convergence_tolerance":
-            repr(cfg.loss.sinkhorn.convergence_tolerance),
-        "loss.sinkhorn.epsilon": repr(cfg.loss.sinkhorn.epsilon),
-        "loss.sinkhorn.n_iterations": cfg.loss.sinkhorn.n_iterations,
-        "loss.temperature": repr(cfg.loss.temperature),
-        "momentum": repr(cfg.momentum),
-        "prototype_freeze_iterations": cfg.prototype_freeze_iterations,
-        "seed": cfg.seed,
-    }
+    items = {}
+    for key, value in _leaves(cfg):
+        if key in _SPLIT_KEYS:
+            items.update(zip(_SPLIT_KEYS[key], map(str, value)))
+        elif isinstance(value, tuple):
+            items[key] = ",".join(map(str, value))
+        else:
+            items[key] = repr(value)
     return "".join(f"{k}={items[k]}\n" for k in sorted(items))
 
 
@@ -126,53 +115,47 @@ def config_from_text(text: str) -> TrainConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno} is not key=value: {line!r}")
+            raise UsageError(f"config line {lineno} is not key=value: {line!r}")
         key, value = line.split("=", 1)
         kv[key.strip()] = value.strip()
     return config_from_dict(kv)
 
 
-def config_from_dict(kv: dict) -> TrainConfig:
-    base = TrainConfig()
+def config_from_dict(kv: dict, base: TrainConfig | None = None
+                     ) -> TrainConfig:
+    """`base` (default `TrainConfig()`) with the string values of `kv`,
+    keyed as in `config_to_text`, applied."""
+    rest = dict(kv)
+    config = _apply(TrainConfig() if base is None else base, rest)
+    if rest:
+        raise UsageError(f"unknown config key(s): {', '.join(sorted(rest))}")
+    return config
 
-    def geti(key, default):
-        return int(kv[key]) if key in kv else default
 
-    def getf(key, default):
-        return float(kv[key]) if key in kv else default
+def _apply(cfg, kv: dict, prefix=""):
+    """Replace each field of `cfg` whose key is in `kv`, popping the key."""
+    changes = {}
+    for f in dataclasses.fields(cfg):
+        key, value = prefix + f.name, getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            changes[f.name] = _apply(value, kv, key + ".")
+        elif key in _SPLIT_KEYS:
+            changes[f.name] = tuple(
+                _parse(k, kv.pop(k), 0) if k in kv else v
+                for k, v in zip(_SPLIT_KEYS[key], value))
+        elif key in kv:
+            changes[f.name] = _parse(key, kv.pop(key), f.default)
+    return dataclasses.replace(cfg, **changes)
 
-    hidden = kv.get("encoder.hidden_dims")
-    hidden_dims = (tuple(int(h) for h in hidden.split(","))
-                   if hidden else base.encoder.hidden_dims)
-    encoder = EncoderConfig(
-        input_dims=(geti("encoder.d1", base.encoder.input_dims[0]),
-                    geti("encoder.d2", base.encoder.input_dims[1])),
-        hidden_dims=hidden_dims,
-        embed_dim=geti("encoder.embed_dim", base.encoder.embed_dim))
-    sinkhorn = SinkhornConfig(
-        epsilon=getf("loss.sinkhorn.epsilon", base.loss.sinkhorn.epsilon),
-        n_iterations=geti("loss.sinkhorn.n_iterations",
-                          base.loss.sinkhorn.n_iterations),
-        convergence_tolerance=getf(
-            "loss.sinkhorn.convergence_tolerance",
-            base.loss.sinkhorn.convergence_tolerance))
-    loss = LossConfig(
-        temperature=getf("loss.temperature", base.loss.temperature),
-        sinkhorn=sinkhorn,
-        queue_length=geti("loss.queue_length", base.loss.queue_length),
-        queue_start_iteration=geti("loss.queue_start_iteration",
-                                   base.loss.queue_start_iteration))
-    return TrainConfig(
-        epochs=geti("epochs", base.epochs),
-        batch_size=geti("batch_size", base.batch_size),
-        base_lr=getf("base_lr", base.base_lr),
-        momentum=getf("momentum", base.momentum),
-        prototype_freeze_iterations=geti("prototype_freeze_iterations",
-                                         base.prototype_freeze_iterations),
-        loss=loss,
-        k_prototypes=geti("k_prototypes", base.k_prototypes),
-        encoder=encoder,
-        seed=geti("seed", base.seed))
+
+def _parse(key: str, text: str, like):
+    """`text` as the type of `like`; a tuple means comma-separated ints."""
+    try:
+        if isinstance(like, tuple):
+            return tuple(int(part) for part in text.split(","))
+        return type(like)(text)
+    except ValueError:
+        raise UsageError(f"config key {key}: bad value {text!r}") from None
 
 
 # ---- schedule ------------------------------------------------------------
@@ -202,16 +185,38 @@ def _resolve(cfg: TrainConfig, steps_per_epoch: int) -> tuple[int, int]:
     return freeze, queue_start
 
 
-def _build(cfg: TrainConfig) -> tuple[Encoder, PrototypeBank, FeatureQueue]:
+def _build(cfg: TrainConfig):
+    """Fresh encoder, prototype bank, queue, and the named parameters."""
     encoder, bank = init_model(cfg.encoder, cfg.k_prototypes, cfg.seed)
     queue = FeatureQueue(cfg.loss.queue_length, cfg.encoder.embed_dim)
-    return encoder, bank, queue
-
-
-def _all_params(encoder: Encoder, bank: PrototypeBank) -> dict:
     params = dict(encoder.parameters())
     params["prototypes"] = bank.c
-    return params
+    return encoder, bank, queue, params
+
+
+def _snapshot(config: TrainConfig, params: dict, velocity: dict,
+              iteration: int, queue: FeatureQueue) -> Checkpoint:
+    """Copy the run state into a checkpoint."""
+    return Checkpoint(
+        version=CHECKPOINT_VERSION, config=config,
+        params={name: p.data.copy() for name, p in params.items()},
+        momentum_buffers={name: v.copy() for name, v in velocity.items()},
+        iteration=iteration,
+        queue_m1=queue.buffers[0].copy(), queue_m2=queue.buffers[1].copy(),
+        queue_fill=queue.fill, queue_cursor=queue.cursor)
+
+
+def _restore(ckpt: Checkpoint, params: dict, velocity: dict,
+             queue: FeatureQueue) -> int:
+    """Copy a checkpoint into the run state; returns its iteration."""
+    for name, p in params.items():
+        p.data[...] = ckpt.params[name]
+    for name, v in velocity.items():
+        v[...] = ckpt.momentum_buffers[name]
+    queue.buffers[0][...] = ckpt.queue_m1
+    queue.buffers[1][...] = ckpt.queue_m2
+    queue.fill, queue.cursor = ckpt.queue_fill, ckpt.queue_cursor
+    return ckpt.iteration
 
 
 def train(corpus: PairedCorpus, config: TrainConfig,
@@ -227,32 +232,22 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     resumed call continues bit-exactly.
     """
     if corpus.n_samples == 0:
-        raise ValueError("corpus is empty")
+        raise UsageError("corpus is empty")
     steps_per_epoch = n_batches(corpus.n_samples, config.batch_size)
     if steps_per_epoch == 0:
-        raise ValueError("batch_size leaves no usable batches")
+        raise UsageError("batch_size leaves no usable batches")
     total_steps = steps_per_epoch * config.epochs
     stop_at = total_steps if stop_after is None else min(stop_after,
                                                          total_steps)
     freeze_iters, queue_start = _resolve(config, steps_per_epoch)
 
-    encoder, bank, queue = _build(config)
-    params = _all_params(encoder, bank)
+    encoder, bank, queue, params = _build(config)
     velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
     iteration = 0
-
     if resume_from is not None:
         if resume_from.config != config:
-            raise ValueError("resume config differs from checkpoint config")
-        for name, p in params.items():
-            p.data[...] = resume_from.params[name]
-        for name in velocity:
-            velocity[name][...] = resume_from.momentum_buffers[name]
-        iteration = resume_from.iteration
-        queue.buffers[0][...] = resume_from.queue_m1
-        queue.buffers[1][...] = resume_from.queue_m2
-        queue.fill = resume_from.queue_fill
-        queue.cursor = resume_from.queue_cursor
+            raise UsageError("resume config differs from checkpoint config")
+        iteration = _restore(resume_from, params, velocity, queue)
 
     tape = GradientTape()
     for name, p in params.items():
@@ -274,7 +269,7 @@ def train(corpus: PairedCorpus, config: TrainConfig,
             try:
                 loss_t = swapped_loss(z1, z2, bank, queue, config.loss,
                                       use_queue=iteration >= queue_start)
-            except SinkhornInputError:
+            except NumericalError:
                 # non-finite embeddings or prototypes poison the solver
                 raise NumericalAbort(iteration, batch.sample_indices,
                                      float("nan")) from None
@@ -304,14 +299,7 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                 metrics_sink(record)
             iteration += 1
 
-    ckpt = Checkpoint(
-        version=CHECKPOINT_VERSION, config=config,
-        params={name: p.data.copy() for name, p in params.items()},
-        momentum_buffers={name: v.copy() for name, v in velocity.items()},
-        iteration=iteration,
-        queue_m1=queue.buffers[0].copy(), queue_m2=queue.buffers[1].copy(),
-        queue_fill=queue.fill, queue_cursor=queue.cursor)
-    return ckpt, metrics
+    return _snapshot(config, params, velocity, iteration, queue), metrics
 
 
 def _code_usage_entropy(z1: np.ndarray, z2: np.ndarray, bank: PrototypeBank,
@@ -327,27 +315,16 @@ def _code_usage_entropy(z1: np.ndarray, z2: np.ndarray, bank: PrototypeBank,
 
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild encoder, prototype bank and queue with checkpoint weights."""
-    encoder, bank, queue = _build(ckpt.config)
-    for name, p in _all_params(encoder, bank).items():
-        p.data[...] = ckpt.params[name]
-    queue.buffers[0][...] = ckpt.queue_m1
-    queue.buffers[1][...] = ckpt.queue_m2
-    queue.fill, queue.cursor = ckpt.queue_fill, ckpt.queue_cursor
+    encoder, bank, queue, params = _build(ckpt.config)
+    _restore(ckpt, params, {}, queue)
     return encoder, bank, queue
 
 
 def random_init_checkpoint(config: TrainConfig) -> Checkpoint:
     """Checkpoint of a freshly initialized (untrained) model."""
-    encoder, bank, queue = _build(config)
-    params = _all_params(encoder, bank)
-    return Checkpoint(
-        version=CHECKPOINT_VERSION, config=config,
-        params={name: p.data.copy() for name, p in params.items()},
-        momentum_buffers={name: np.zeros_like(p.data)
-                          for name, p in params.items()},
-        iteration=0,
-        queue_m1=queue.buffers[0].copy(), queue_m2=queue.buffers[1].copy(),
-        queue_fill=0, queue_cursor=0)
+    _, _, queue, params = _build(config)
+    velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
+    return _snapshot(config, params, velocity, 0, queue)
 
 
 # ---- checkpoint serialization -------------------------------------------
@@ -360,18 +337,19 @@ def _tensor_record(name: str, arr: np.ndarray) -> bytes:
             struct.pack("<I", arr.ndim) + dims + arr.tobytes())
 
 
-def save_checkpoint(ckpt: Checkpoint, path):
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name in sorted(ckpt.params):
-        tensors.append((f"param.{name}", ckpt.params[name]))
-    for name in sorted(ckpt.momentum_buffers):
-        tensors.append((f"mom.{name}", ckpt.momentum_buffers[name]))
-    tensors.append(("queue.m1", ckpt.queue_m1))
-    tensors.append(("queue.m2", ckpt.queue_m2))
+def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
+    """The named arrays of a checkpoint, in file order."""
+    tensors = [(f"param.{n}", ckpt.params[n]) for n in sorted(ckpt.params)]
+    tensors += [(f"mom.{n}", ckpt.momentum_buffers[n])
+                for n in sorted(ckpt.momentum_buffers)]
     state = np.array([float(ckpt.iteration), float(ckpt.queue_fill),
                       float(ckpt.queue_cursor)])
-    tensors.append(("state", state))
+    return tensors + [("queue.m1", ckpt.queue_m1), ("queue.m2", ckpt.queue_m2),
+                      ("state", state)]
 
+
+def save_checkpoint(ckpt: Checkpoint, path):
+    tensors = _tensors(ckpt)
     cfg_text = config_to_text(ckpt.config).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -384,6 +362,9 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed byte is a `FormatError` naming its
+    offset or tensor. Tensor names and shapes must be those of the model
+    that the embedded config builds."""
     with open(path, "rb") as f:
         blob = f.read()
     offset = 0
@@ -402,39 +383,62 @@ def load_checkpoint(path) -> Checkpoint:
 
     magic = take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
-        raise VersionError(f"bad checkpoint magic at offset 0: {magic!r}")
+        raise FormatError(f"bad checkpoint magic at offset 0: {magic!r}")
     version = take_u32("version")
     if version != CHECKPOINT_VERSION:
-        raise VersionError(
+        raise FormatError(
             f"unsupported checkpoint version {version} at offset 4")
     cfg_len = take_u32("config length")
     cfg_text = take(cfg_len, "config text")
     try:
         config = config_from_text(cfg_text.decode("utf-8"))
-    except ValueError as exc:
-        raise FormatError(f"bad config text at offset 12: {exc}") from exc
+        shapes = {name: arr.shape for name, arr
+                  in _tensors(random_init_checkpoint(config))}
+    except (UnicodeDecodeError, UsageError) as exc:
+        raise FormatError(f"bad config text at offset 12: {exc}") from None
     count = take_u32("tensor count")
 
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = take_u32("tensor name length")
-        name = take(name_len, "tensor name").decode("utf-8")
+        at = offset
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(
+                f"tensor name at offset {at} is not UTF-8") from None
+        if name not in shapes or name in tensors:
+            raise FormatError(f"unexpected tensor {name!r} at offset {at}")
         rank = take_u32(f"rank of {name}")
+        if rank > 2:
+            raise FormatError(
+                f"rank {rank} of {name} at offset {offset - 4} exceeds 2")
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
-        size = int(np.prod(dims)) if rank else 1
+        if dims != shapes[name]:
+            raise FormatError(f"tensor {name} has shape {dims}, its config "
+                              f"builds {shapes[name]}")
         tensors[name] = np.frombuffer(
-            take(8 * size, f"data of {name}"), dtype="<f8").reshape(dims).copy()
+            take(8 * math.prod(dims), f"data of {name}"),
+            dtype="<f8").reshape(dims).copy()
     if offset != len(blob):
         raise FormatError(
             f"{len(blob) - offset} trailing bytes at offset {offset}")
+    missing = shapes.keys() - tensors.keys()
+    if missing:
+        raise FormatError(f"missing tensors: {', '.join(sorted(missing))}")
 
+    iteration, fill, cursor = tensors["state"]
+    if not (all(x >= 0 and float(x).is_integer() for x in tensors["state"])
+            and fill <= config.loss.queue_length
+            and cursor < max(config.loss.queue_length, 1)):
+        raise FormatError(f"tensor state holds no valid run state: "
+                          f"{tensors['state'].tolist()}")
     params = {k[len("param."):]: v for k, v in tensors.items()
               if k.startswith("param.")}
     moms = {k[len("mom."):]: v for k, v in tensors.items()
             if k.startswith("mom.")}
-    state = tensors["state"]
     return Checkpoint(
         version=version, config=config, params=params,
-        momentum_buffers=moms, iteration=int(state[0]),
+        momentum_buffers=moms, iteration=int(iteration),
         queue_m1=tensors["queue.m1"], queue_m2=tensors["queue.m2"],
-        queue_fill=int(state[1]), queue_cursor=int(state[2]))
+        queue_fill=int(fill), queue_cursor=int(cursor))

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mmproto.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from mmproto.data import load_corpus
+from mmproto.data import PairedCorpus, load_corpus, save_corpus
 from mmproto.trainer import TrainConfig, load_checkpoint
 
 
@@ -125,6 +127,19 @@ class TestPretrain:
         lines = [json.loads(l) for l in metrics.read_text().splitlines()]
         assert [l["iter"] for l in lines] == list(range(7, 16))
 
+    @pytest.mark.parametrize("flags", [["--k", "4"], ["--config", "x.cfg"]])
+    def test_resume_rejects_config_flags(self, tmp_path, corpus_file,
+                                         trained_ckpt, capsys, flags):
+        (tmp_path / "x.cfg").write_text("seed=3\n")
+        out = tmp_path / "resumed.ckpt"
+        code, _, err = run(capsys, "pretrain", "--data", str(corpus_file),
+                           "--resume", str(trained_ckpt), "--out", str(out),
+                           *[str(tmp_path / f) if f.endswith(".cfg") else f
+                             for f in flags])
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: --resume takes its config")
+        assert not out.exists()
+
 
 class TestProbe:
     def test_cluster_probe_prints_nmi(self, corpus_file, trained_ckpt,
@@ -183,6 +198,80 @@ class TestCheckpointFormat:
         assert code == EXIT_IO
         assert err.startswith("error: truncated checkpoint")
         assert "offset" in err
+
+
+class TestExitCodes:
+    """One row per error class: the exit code and the stderr prefix."""
+
+    @pytest.mark.parametrize("files, argv, code, prefix", [
+        ({"train.cfg": "bath_size=64\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE, "usage error: unknown config key(s): bath_size"),
+        ({"train.cfg": "epochs=two\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE, "usage error: config key epochs: bad value 'two'"),
+        ({}, "probe --ckpt {ckpt} --data {tmp}/unlabeled.mmp --probe cluster",
+         EXIT_USAGE, "usage error: corpus has no labels"),
+        ({"scores.csv": "1,2\n3\n"}, "codes --scores {tmp}/scores.csv",
+         EXIT_IO, "error: "),
+        ({"scores.csv": ""}, "codes --scores {tmp}/scores.csv",
+         EXIT_IO, "error: "),
+        ({"bad.ckpt": "MMCK\x02"},
+         "probe --ckpt {tmp}/bad.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: truncated checkpoint"),
+        ({"scores.csv": "nan,0\n0,0\n"}, "codes --scores {tmp}/scores.csv",
+         EXIT_NUMERIC, "numerical error: scores contain NaN or Inf"),
+        ({}, "pretrain --data {tmp}/nan.mmp --out {tmp}/x.ckpt --epochs 1 "
+             "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8",
+         EXIT_NUMERIC, "numerical error: non-finite loss nan at iteration "),
+    ])
+    def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
+                                  capsys, files, argv, code, prefix):
+        corpus = load_corpus(corpus_file)
+        save_corpus(PairedCorpus(corpus.modality1, corpus.modality2, None),
+                    tmp_path / "unlabeled.mmp")
+        corpus.modality1[5, 0] = np.nan
+        save_corpus(corpus, tmp_path / "nan.mmp")
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = argv.format(tmp=tmp_path, corpus=corpus_file, ckpt=trained_ckpt)
+        got, _, err = run(capsys, *argv.split())
+        assert got == code
+        assert err.startswith(prefix), err
+
+
+class TestCorruptFiles:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        corpus, ckpt = root / "c.mmp", root / "r.ckpt"
+        assert main(["gen-data", "--n", "24", "--clusters", "3",
+                     "--latent-dim", "2", "--d1", "3", "--d2", "3",
+                     "--out", str(corpus)]) == EXIT_OK
+        assert main(["pretrain", "--data", str(corpus), "--out", str(ckpt),
+                     "--epochs", "1", "--batch-size", "8", "--k", "3",
+                     "--embed-dim", "2", "--hidden-dims", "3",
+                     "--queue-length", "4"]) == EXIT_OK
+        return root, corpus.read_bytes(), ckpt.read_bytes()
+
+    @given(target=st.sampled_from(["ckpt", "corpus"]),
+           position=st.integers(0, 2**16), bit=st.integers(0, 7),
+           probe=st.sampled_from(["cluster", "knn", "linear"]))
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_single_bit_flip(self, files, target, position, bit, probe):
+        """A flipped bit in either container ends as exit 0 or 1."""
+        root, corpus, ckpt = files
+        blob = bytearray(ckpt if target == "ckpt" else corpus)
+        blob[position % len(blob)] ^= 1 << bit
+        paths = {"ckpt": root / "r.ckpt", "corpus": root / "c.mmp"}
+        flipped = root / "flipped"
+        flipped.write_bytes(bytes(blob))
+        paths[target] = flipped
+        code = main(["probe", "--ckpt", str(paths["ckpt"]),
+                     "--data", str(paths["corpus"]), "--probe", probe,
+                     "--knn-k", "3"])
+        assert code in (EXIT_OK, EXIT_IO)
 
 
 class TestCodes:

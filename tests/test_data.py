@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mmproto.data import (ConfigurationError, CorpusSpec, FormatError,
-                          PairedCorpus, batches, generate, load_corpus,
-                          n_batches, save_corpus)
+from mmproto.data import (CorpusSpec, PairedCorpus, batches, generate,
+                          load_corpus, n_batches, save_corpus)
+from mmproto.errors import FormatError, UsageError
 
 
 def small_spec(**kw):
@@ -15,15 +15,15 @@ def small_spec(**kw):
 
 class TestSpecValidation:
     def test_too_few_clusters(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             small_spec(n_latent_clusters=1)
 
     def test_negative_sigma(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             small_spec(noise_sigma=-0.1)
 
     def test_zero_dim(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             small_spec(latent_dim=0)
 
 
@@ -141,6 +141,18 @@ class TestCorpusFile:
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) // 2])
         with pytest.raises(FormatError, match="truncated"):
+            load_corpus(path)
+
+    def test_label_out_of_range(self, tmp_path):
+        path = tmp_path / "c.mmp"
+        corpus = generate(small_spec(n_samples=10))
+        save_corpus(corpus, path)
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - 4 * 7  # label of sample 3
+        blob[at + 3] |= 0x80
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"label {2**31 + corpus.labels[3]}"
+                                              f" at offset {at} is not below"):
             load_corpus(path)
 
     def test_unsupported_version(self, tmp_path):

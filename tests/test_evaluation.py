@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmproto.data import CorpusSpec, PairedCorpus, generate
-from mmproto.evaluation import (InputError, cluster_agreement, knn_probe,
-                                linear_probe, normalized_mutual_information,
-                                purity_score, train_linear_classifier)
+from mmproto.errors import UsageError
+from mmproto.evaluation import (cluster_agreement, knn_probe, linear_probe,
+                                normalized_mutual_information, purity_score,
+                                train_linear_classifier)
 from mmproto.model import EncoderConfig
-from mmproto.numerics import ParameterError
 from mmproto.objective import LossConfig
 from mmproto.sinkhorn import SinkhornConfig
 from mmproto.trainer import TrainConfig, random_init_checkpoint
@@ -47,7 +47,7 @@ class TestLinearProbe:
     def test_requires_labels(self):
         corpus = probe_corpus()
         unlabeled = PairedCorpus(corpus.modality1, corpus.modality2, None)
-        with pytest.raises(InputError):
+        with pytest.raises(UsageError):
             linear_probe(random_init_checkpoint(probe_config()), unlabeled, 0)
 
     def test_deterministic(self):
@@ -75,7 +75,7 @@ class TestLinearProbe:
         assert abs(report.accuracy - 1.0 / 3) < 0.15
 
     def test_unknown_modality(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(UsageError):
             linear_probe(random_init_checkpoint(probe_config()),
                          probe_corpus(), 0, modality="m3")
 
@@ -88,9 +88,9 @@ class TestKnnProbe:
 
     def test_k_validation(self):
         ckpt = random_init_checkpoint(probe_config())
-        with pytest.raises(ParameterError):
+        with pytest.raises(UsageError):
             knn_probe(ckpt, probe_corpus(), 0, split_seed=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(UsageError):
             knn_probe(ckpt, probe_corpus(n=50), 41, split_seed=1)
 
     def test_accuracy_in_bounds(self):
@@ -158,7 +158,7 @@ class TestClusterAgreement:
     def test_requires_labels(self):
         corpus = probe_corpus()
         unlabeled = PairedCorpus(corpus.modality1, corpus.modality2, None)
-        with pytest.raises(InputError):
+        with pytest.raises(UsageError):
             cluster_agreement(random_init_checkpoint(probe_config()),
                               unlabeled)
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmproto.model import (ConfigurationError, EncoderConfig, PrototypeBank,
-                           embed, init_model, prototype_scores,
-                           renormalize_prototypes)
-from mmproto.numerics import (DimensionError, GradientTape, Tensor, backward,
+from mmproto.errors import UsageError
+from mmproto.model import (EncoderConfig, PrototypeBank, embed, init_model,
+                           prototype_scores, renormalize_prototypes)
+from mmproto.numerics import (GradientTape, Tensor, backward,
                               finite_difference, relative_gradient_error)
 
 CFG = EncoderConfig(input_dims=(6, 9), hidden_dims=(8,), embed_dim=5)
@@ -14,19 +14,19 @@ CFG = EncoderConfig(input_dims=(6, 9), hidden_dims=(8,), embed_dim=5)
 
 class TestConfig:
     def test_two_modalities_required(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             EncoderConfig(input_dims=(4,))
 
     def test_hidden_layer_required(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             EncoderConfig(hidden_dims=())
 
     def test_positive_dims(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             EncoderConfig(input_dims=(0, 4))
 
     def test_min_prototypes(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             init_model(CFG, k=1, seed=0)
 
 
@@ -81,12 +81,12 @@ class TestEmbed:
 
     def test_modality_dim_checked(self):
         encoder, _ = init_model(CFG, k=4, seed=1)
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError):
             embed(encoder, np.zeros((3, 9)), 0)
 
     def test_bad_modality_index(self):
         encoder, _ = init_model(CFG, k=4, seed=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(UsageError):
             embed(encoder, np.zeros((3, 6)), 2)
 
     def test_deterministic_and_pure(self):
@@ -128,7 +128,7 @@ class TestPrototypeScores:
 
     def test_dim_mismatch(self):
         bank = PrototypeBank(Tensor(np.eye(2)))
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError):
             prototype_scores(np.zeros((3, 4)), bank)
 
     @given(seed=st.integers(0, 1000))

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmproto.errors import UsageError
 from mmproto.model import PrototypeBank, init_model, EncoderConfig, embed
 from mmproto.numerics import GradientTape, Tensor, backward
-from mmproto.objective import (AssignmentDistribution, FeatureQueue,
-                               InputError, LossConfig, compute_batch_codes,
-                               cross_entropy_term, enqueue,
-                               predict_assignments, swapped_loss)
-from mmproto.sinkhorn import SinkhornConfig, converged_config
+from mmproto.objective import (FeatureQueue, LossConfig, compute_batch_codes,
+                               enqueue, swapped_loss)
+from mmproto.sinkhorn import converged_config
 
 
 def unit_rows(rng, n, d):
@@ -21,6 +20,13 @@ def random_bank(rng, k, d):
     return PrototypeBank(Tensor(unit_rows(rng, k, d), requires_grad=True))
 
 
+def log_softmax(scores, temperature):
+    """Independent reference: numpy log-softmax over each row."""
+    s = np.asarray(scores) / temperature
+    s = s - s.max(axis=1, keepdims=True)
+    return s - np.log(np.exp(s).sum(axis=1, keepdims=True))
+
+
 class TestLossConfig:
     def test_defaults(self):
         cfg = LossConfig()
@@ -28,11 +34,11 @@ class TestLossConfig:
         assert cfg.queue_length == 1920
 
     def test_temperature_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             LossConfig(temperature=0.0)
 
     def test_queue_length_non_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             LossConfig(queue_length=-1)
 
 
@@ -65,50 +71,40 @@ class TestFeatureQueue:
         assert q.fill == 0
 
 
-class TestPredictAssignments:
-    def test_matches_direct_softmax(self):
-        rng = np.random.default_rng(0)
-        bank = random_bank(rng, 4, 6)
-        z = unit_rows(rng, 3, 6)
-        p = predict_assignments(z, bank, temperature=0.1).p
-        scores = z @ bank.c.data.T
-        expect = np.exp(scores / 0.1 - (scores / 0.1).max(axis=1, keepdims=True))
-        expect /= expect.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(p, expect, atol=1e-12)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(1)
-        p = predict_assignments(unit_rows(rng, 5, 4),
-                                random_bank(rng, 3, 4), 0.1).p
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-
 class TestCrossEntropyTerm:
+    """The swapped loss as -mean_b sum_k q[b,k] log p[b,k], both views."""
+
     def test_uniform_targets(self):
-        p = AssignmentDistribution(np.full((2, 4), 0.25))
-        q = np.full((2, 4), 0.25)
-        assert cross_entropy_term(p, q) == pytest.approx(np.log(4))
+        rng = np.random.default_rng(0)
+        c = unit_rows(rng, 1, 4)
+        bank = PrototypeBank(Tensor(np.repeat(c, 3, axis=0)))  # equal scores
+        z = Tensor(unit_rows(rng, 2, 4))
+        q = np.full((2, 3), 1.0 / 3)
+        loss = swapped_loss(z, z, bank, None, LossConfig(), codes=(q, q))
+        assert float(loss.data[0, 0]) == pytest.approx(2 * np.log(3))
 
     def test_one_hot_target_picks_log_prob(self):
-        p = AssignmentDistribution(np.array([[0.7, 0.3]]))
-        q = np.array([[1.0, 0.0]])
-        assert cross_entropy_term(p, q) == pytest.approx(-np.log(0.7))
-
-    def test_shape_mismatch(self):
-        from mmproto.numerics import DimensionError
-        with pytest.raises(DimensionError):
-            cross_entropy_term(AssignmentDistribution(np.ones((2, 3)) / 3),
-                               np.ones((3, 2)) / 2)
-
-    def test_negative_codes_rejected(self):
-        with pytest.raises(InputError):
-            cross_entropy_term(AssignmentDistribution(np.ones((1, 2)) / 2),
-                               np.array([[1.5, -0.5]]))
+        rng = np.random.default_rng(1)
+        bank = random_bank(rng, 3, 4)
+        z1, z2 = unit_rows(rng, 2, 4), unit_rows(rng, 2, 4)
+        q1, q2 = np.eye(3)[[0, 2]], np.eye(3)[[1, 1]]
+        loss = swapped_loss(Tensor(z1), Tensor(z2), bank, None,
+                            LossConfig(temperature=0.1), codes=(q1, q2))
+        logp1 = log_softmax(z1 @ bank.c.data.T, 0.1)
+        logp2 = log_softmax(z2 @ bank.c.data.T, 0.1)
+        expect = -(logp1[0, 1] + logp1[1, 1] + logp2[0, 0] + logp2[1, 2]) / 2
+        assert float(loss.data[0, 0]) == pytest.approx(expect, abs=1e-12)
 
     def test_zero_probability_clamped(self):
-        p = AssignmentDistribution(np.array([[1.0, 0.0]]))
-        q = np.array([[0.0, 1.0]])
-        assert np.isfinite(cross_entropy_term(p, q))
+        """A target on a prototype whose probability underflows to 0
+        still gives a finite loss: the log is taken in the log domain."""
+        bank = PrototypeBank(Tensor([[1.0, 0.0], [-1.0, 0.0]]))
+        z = Tensor([[1.0, 0.0], [1.0, 0.0]])
+        q = np.array([[0.0, 1.0], [0.0, 1.0]])
+        loss = swapped_loss(z, z, bank, None, LossConfig(temperature=0.001),
+                            codes=(q, q))
+        assert np.exp(-2000.0) == 0.0
+        assert float(loss.data[0, 0]) == pytest.approx(4000.0)
 
 
 class TestComputeBatchCodes:
@@ -166,14 +162,13 @@ class TestSwappedLoss:
         assert float(aligned.data[0, 0]) < float(crossed.data[0, 0])
 
     def test_shape_mismatch(self):
-        from mmproto.numerics import DimensionError
         z1, z2, bank, cfg = self.make(8)
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError):
             swapped_loss(z1, Tensor(z2.data[:3]), bank, None, cfg)
 
     def test_empty_batch(self):
         z1, z2, bank, cfg = self.make(9)
-        with pytest.raises(InputError):
+        with pytest.raises(UsageError):
             swapped_loss(Tensor(np.zeros((0, 8))), Tensor(np.zeros((0, 8))),
                          bank, None, cfg)
 
@@ -195,9 +190,8 @@ class TestSwappedLoss:
         q = np.full((4, 3), 1.0 / 3)
         loss = swapped_loss(z1, z2, bank, None, cfg, codes=(q, q))
         # uniform targets: loss = mean of -sum_k (1/3) log p in both terms
-        from mmproto.objective import predict_assignments as pa
-        p1 = np.log(pa(z1.data, bank, 0.1).p)
-        p2 = np.log(pa(z2.data, bank, 0.1).p)
+        p1 = log_softmax(z1.data @ bank.c.data.T, 0.1)
+        p2 = log_softmax(z2.data @ bank.c.data.T, 0.1)
         expect = -(q * p1).sum(axis=1).mean() - (q * p2).sum(axis=1).mean()
         assert float(loss.data[0, 0]) == pytest.approx(expect, abs=1e-12)
 

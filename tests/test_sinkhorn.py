@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmproto import sinkhorn
-from mmproto.numerics import DimensionError
-from mmproto.sinkhorn import (CodeMatrix, InputError, SinkhornConfig,
+from mmproto.errors import NumericalError, UsageError
+from mmproto.sinkhorn import (CodeMatrix, SinkhornConfig,
                               compute_codes, converged_config, entropy,
                               transport_objective)
 
@@ -20,11 +20,11 @@ def random_scores(rng, k, b):
 
 class TestConfig:
     def test_epsilon_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             SinkhornConfig(epsilon=0.0)
 
     def test_iterations_at_least_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             SinkhornConfig(n_iterations=0)
 
 
@@ -45,7 +45,7 @@ class TestComputeCodes:
         np.testing.assert_allclose(codes.q, 0.25, atol=1e-6)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(NumericalError):
             compute_codes([[np.nan, 0.0]], SinkhornConfig())
 
     def test_large_scores_no_overflow(self):
@@ -182,7 +182,7 @@ class TestTransportObjective:
                 transport_objective(s, uniform, EPS))
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(UsageError):
             transport_objective(np.zeros((2, 3)), np.zeros((3, 2)), EPS)
 
     def test_local_perturbation_optimality(self):

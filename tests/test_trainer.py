@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from mmproto.data import CorpusSpec, FormatError, generate
+from mmproto.data import CorpusSpec, generate
+from mmproto.errors import FormatError, NumericalAbort, UsageError
 from mmproto.model import EncoderConfig
 from mmproto.objective import LossConfig
 from mmproto.sinkhorn import SinkhornConfig
-from mmproto.trainer import (CHECKPOINT_VERSION, Checkpoint, NumericalAbort,
-                             TrainConfig, VersionError, config_from_text,
-                             config_to_text, cosine_lr, epoch_shuffle_seed,
-                             load_checkpoint, model_from_checkpoint,
-                             random_init_checkpoint, save_checkpoint, train)
+from mmproto.trainer import (CHECKPOINT_VERSION, Checkpoint, TrainConfig,
+                             config_from_text, config_to_text, cosine_lr,
+                             epoch_shuffle_seed, load_checkpoint,
+                             model_from_checkpoint, random_init_checkpoint,
+                             save_checkpoint, train)
 
 
 def tiny_corpus(seed=5, n=48):
@@ -51,12 +52,14 @@ def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             tiny_config(epochs=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             tiny_config(base_lr=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             tiny_config(momentum=1.0)
+        with pytest.raises(UsageError):
+            tiny_config(batch_size=0)
 
     def test_config_text_round_trip(self):
         cfg = tiny_config()
@@ -71,6 +74,39 @@ class TestConfig:
         cfg = config_from_text("epochs=7\n")
         assert cfg.epochs == 7
         assert cfg.batch_size == TrainConfig().batch_size
+
+    def test_default_config_text(self):
+        assert config_to_text(TrainConfig()) == (
+            "base_lr=0.5\n"
+            "batch_size=32\n"
+            "encoder.d1=32\n"
+            "encoder.d2=32\n"
+            "encoder.embed_dim=128\n"
+            "encoder.hidden_dims=64\n"
+            "epochs=30\n"
+            "k_prototypes=16\n"
+            "loss.queue_length=256\n"
+            "loss.queue_start_iteration=-1\n"
+            "loss.sinkhorn.convergence_tolerance=0.0\n"
+            "loss.sinkhorn.epsilon=0.05\n"
+            "loss.sinkhorn.n_iterations=3\n"
+            "loss.temperature=0.1\n"
+            "momentum=0.9\n"
+            "prototype_freeze_iterations=-1\n"
+            "seed=0\n")
+
+    def test_unknown_keys_named(self):
+        with pytest.raises(UsageError, match="unknown config key.*: "
+                                             "bath_size, loss.temp$"):
+            config_from_text("bath_size=64\nloss.temp=1\nepochs=3\n")
+
+    @pytest.mark.parametrize("line", ["epochs=3.5", "base_lr=fast",
+                                      "encoder.hidden_dims=8,x",
+                                      "encoder.d2=", "loss.sinkhorn.epsilon=-"])
+    def test_bad_value_names_key(self, line):
+        key = line.split("=")[0]
+        with pytest.raises(UsageError, match=f"^config key {key}: bad value"):
+            config_from_text(line)
 
 
 class TestCosineLr:
@@ -157,7 +193,7 @@ class TestTrain:
     def test_resume_config_mismatch(self):
         corpus = tiny_corpus()
         ckpt, _ = train(corpus, tiny_config())
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             train(corpus, tiny_config(seed=99), resume_from=ckpt)
 
     def test_nan_abort_diagnostics(self):
@@ -174,7 +210,7 @@ class TestTrain:
         from mmproto.data import PairedCorpus
         empty = PairedCorpus(np.zeros((0, 6)), np.zeros((0, 7)),
                              np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             train(empty, tiny_config())
 
 
@@ -206,7 +242,7 @@ class TestCheckpointFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
         path.write_bytes(b"NOPE" + b"\0" * 32)
-        with pytest.raises(VersionError):
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_unsupported_version(self, tmp_path):
@@ -216,7 +252,7 @@ class TestCheckpointFile:
         blob = bytearray(path.read_bytes())
         blob[4] = CHECKPOINT_VERSION + 1
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionError):
+        with pytest.raises(FormatError):
             load_checkpoint(path)
 
     def test_truncated_anywhere(self, tmp_path):
@@ -231,6 +267,47 @@ class TestCheckpointFile:
             with pytest.raises(FormatError,
                                match=r"^truncated checkpoint: .* offset \d+"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("name", lambda b, at: b[:at + 6] + b"\xff" + b[at + 7:],
+         "tensor name at offset .* is not UTF-8"),
+        ("rank", lambda b, at: b[:at + 20] + b"\x03" + b[at + 21:],
+         "rank 3 of param.adapter1.b at offset .* exceeds 2"),
+        ("shape", lambda b, at: b[:at + 24] + b"\x00" + b[at + 25:],
+         r"tensor param.adapter1.b has shape \(0, 8\), its config builds"),
+        ("name", lambda b, at: b[:at + 10] + b"X" + b[at + 11:],
+         "unexpected tensor 'param.Xdapter1.b'"),
+        ("count", lambda b, at: b[:at - 4] + b"\x00" + b[at - 3:],
+         "trailing bytes"),
+        ("missing", lambda b, at: b[:at - 4] + (b[at - 4] - 1).to_bytes(
+            4, "little") + b[at:-41], "missing tensors: state$"),
+    ])
+    def test_corrupt_tensor_headers(self, tmp_path, name, corrupt, message):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        blob = path.read_bytes()
+        at = 16 + int.from_bytes(blob[8:12], "little")  # first tensor record
+        assert blob[at + 4:at + 19] == b"param.adapter1."
+        path.write_bytes(corrupt(blob, at))
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    def test_config_must_build_the_stored_tensors(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        path.write_bytes(path.read_bytes().replace(b"k_prototypes=4",
+                                                   b"k_prototypes=5"))
+        with pytest.raises(FormatError, match="tensor param.prototypes has "
+                                              r"shape \(4, 5\)"):
+            load_checkpoint(path)
+
+    def test_bad_run_state(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        ckpt = random_init_checkpoint(tiny_config())
+        ckpt.queue_fill = 17  # above the queue length of 16
+        save_checkpoint(ckpt, path)
+        with pytest.raises(FormatError, match="tensor state"):
+            load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "x.ckpt"
