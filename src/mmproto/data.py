@@ -94,9 +94,9 @@ class CorpusSpec:
                 f"need >= 2 latent clusters, got {self.n_latent_clusters}")
         if min(self.n_samples, self.latent_dim, self.d1, self.d2) < 1:
             raise UsageError("counts and dims must be >= 1")
-        if self.noise_sigma < 0:
+        if not 0 <= self.noise_sigma < np.inf:
             raise UsageError(
-                f"noise_sigma must be >= 0, got {self.noise_sigma}")
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -148,16 +148,22 @@ def generate(spec: CorpusSpec) -> PairedCorpus:
     return PairedCorpus(x1, x2, labels)
 
 
+def permutation(n: int, seed: int) -> np.ndarray:
+    """Seeded order of range(n): Fisher-Yates with splitmix draws."""
+    order = np.arange(n)
+    rng = SplitMix64(seed)
+    for i in range(n - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def batches(corpus: PairedCorpus, batch_size: int, epoch_seed: int):
     """Seeded shuffle into aligned batches; a trailing batch of 1 is dropped."""
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
     n = corpus.n_samples
-    order = np.arange(n)
-    rng = SplitMix64(epoch_seed)
-    for i in range(n - 1, 0, -1):  # Fisher-Yates with splitmix draws
-        j = rng.next_u64() % (i + 1)
-        order[i], order[j] = order[j], order[i]
+    order = permutation(n, epoch_seed)
     out = []
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedCorpus, SplitMix64
-from .errors import UsageError
+from .data import PairedCorpus, permutation
+from .errors import NumericalError, UsageError
 from .model import embed, prototype_scores
-from .numerics import GradientTape, Tensor, backward
+from .numerics import Tensor, backward
 from .trainer import Checkpoint, model_from_checkpoint
 
 PROBE_STEPS = 500
@@ -49,25 +49,22 @@ class ClusterReport:
 
 def _embeddings(ckpt: Checkpoint, corpus: PairedCorpus, modality: str):
     """Frozen encoder-output embeddings; no parameter is ever updated here."""
-    encoder, bank, _ = model_from_checkpoint(ckpt)
-    if modality == "m1":
-        z = embed(encoder, corpus.modality1, 0).data
-    elif modality == "m2":
-        z = embed(encoder, corpus.modality2, 1).data
-    elif modality == "both":
-        z = np.hstack([embed(encoder, corpus.modality1, 0).data,
-                       embed(encoder, corpus.modality2, 1).data])
-    else:
+    views = {"m1": (0,), "m2": (1,), "both": (0, 1)}.get(modality)
+    if views is None:
         raise UsageError(f"unknown modality {modality!r}")
+    inputs = (corpus.modality1, corpus.modality2)
+    for m in views:
+        bad = np.flatnonzero(~np.isfinite(inputs[m]).all(axis=1))
+        if bad.size:
+            raise NumericalError(f"{bad.size} modality {m + 1} row(s) hold "
+                                 f"NaN or Inf, the first is row {bad[0]}")
+    encoder, bank, _ = model_from_checkpoint(ckpt)
+    z = np.hstack([embed(encoder, inputs[m], m).data for m in views])
     return z, bank
 
 
 def _split(n: int, split_seed: int, test_fraction: float = 0.2):
-    order = np.arange(n)
-    rng = SplitMix64(split_seed)
-    for i in range(n - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
-        order[i], order[j] = order[j], order[i]
+    order = permutation(n, split_seed)
     n_test = int(round(n * test_fraction))
     return order[n_test:], order[:n_test]
 
@@ -88,14 +85,12 @@ def train_linear_classifier(features: np.ndarray, labels: np.ndarray,
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
 
-    tape = GradientTape()
-    w = tape.parameter("w", np.zeros((d, n_classes)))
-    b = tape.parameter("b", np.zeros((1, n_classes)))
+    w, b = Tensor(np.zeros((d, n_classes))), Tensor(np.zeros((1, n_classes)))
     x = Tensor(features)
     for _ in range(steps):
         logp = (x @ w + b).log_softmax_rows()
         loss = -(Tensor(onehot) * logp).sum() * (1.0 / n)
-        grads = backward(tape, loss)
+        grads = backward(loss, {"w": w, "b": b})
         w.data -= lr * grads["w"]
         b.data -= lr * grads["b"]
     return w.data, b.data

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EncoderConfig, embed, init_model
-from .numerics import (GradientTape, Tensor, backward, finite_difference,
+from .numerics import (Tensor, backward, finite_difference,
                        relative_gradient_error)
-from .objective import (FeatureQueue, LossConfig, compute_batch_codes,
-                        enqueue, swapped_loss)
+from .objective import LossConfig, compute_batch_codes, swapped_loss
 from .sinkhorn import converged_config
 
 FD_STEP = 1e-5  # small enough that sharp-softmax curvature (tau = 0.1)
@@ -35,10 +34,8 @@ class CheckResult:
 
 def _check(name, build_loss, params, perturb=None) -> CheckResult:
     """Compare tape gradients of build_loss against central differences."""
-    tape = GradientTape()
-    tensors = {k: tape.parameter(k, v) for k, v in params.items()}
-    loss = build_loss({k: t for k, t in tensors.items()})
-    analytic = backward(tape, loss)
+    tensors = {k: Tensor(v) for k, v in params.items()}
+    analytic = backward(build_loss(tensors), tensors)
     if perturb == name:
         first = next(iter(analytic))
         analytic[first] = analytic[first] + 0.5  # fault injection hook
@@ -91,15 +88,12 @@ def _full_loss_check(name: str, seed: int, use_queue: bool,
     rng = np.random.default_rng(seed + 2)
     x1 = rng.standard_normal((4, 6))
     x2 = rng.standard_normal((4, 6))
-    loss_cfg = LossConfig(temperature=0.1, sinkhorn=converged_config(0.05),
-                          queue_length=8 if use_queue else 0,
-                          queue_start_iteration=0)
-
-    queue = FeatureQueue(loss_cfg.queue_length, cfg.embed_dim)
+    loss_cfg = LossConfig(temperature=0.1, sinkhorn=converged_config(0.05))
+    rows = (None, None)
     if use_queue:
         past = rng.standard_normal((6, 5))
         past /= np.sqrt((past * past).sum(axis=1, keepdims=True))
-        enqueue(queue, past, past[::-1].copy())
+        rows = (past, past[::-1])
 
     params = {k: t.data.copy() for k, t in encoder.parameters().items()}
     params["prototypes"] = bank.c.data.copy()
@@ -109,10 +103,8 @@ def _full_loss_check(name: str, seed: int, use_queue: bool,
     # freeze codes at the base point: the gradient treats them as constants
     z1_base = embed(encoder, x1, 0).data
     z2_base = embed(encoder, x2, 1).data
-    q_rows = queue.rows(0) if use_queue and queue.fill else None
-    q_rows2 = queue.rows(1) if use_queue and queue.fill else None
-    q1 = compute_batch_codes(z1_base, bank, q_rows, loss_cfg.sinkhorn)
-    q2 = compute_batch_codes(z2_base, bank, q_rows2, loss_cfg.sinkhorn)
+    q1 = compute_batch_codes(z1_base, bank, rows[0], loss_cfg.sinkhorn)
+    q2 = compute_batch_codes(z2_base, bank, rows[1], loss_cfg.sinkhorn)
 
     def loss_from(raw: dict) -> float:
         for key, t in param_tensors.items():
@@ -122,14 +114,12 @@ def _full_loss_check(name: str, seed: int, use_queue: bool,
         loss = swapped_loss(z1, z2, bank, None, loss_cfg, codes=(q1, q2))
         return float(loss.data[0, 0])
 
-    tape = GradientTape()
     for key, t in param_tensors.items():
         t.data[...] = params[key]
-        tape.watch(key, t)
     z1 = embed(encoder, x1, 0)
     z2 = embed(encoder, x2, 1)
     loss = swapped_loss(z1, z2, bank, None, loss_cfg, codes=(q1, q2))
-    analytic = backward(tape, loss)
+    analytic = backward(loss, param_tensors)
     if perturb == name:
         analytic["prototypes"] = analytic["prototypes"] + 0.5
 

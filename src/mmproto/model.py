@@ -54,11 +54,10 @@ class Encoder:
     @staticmethod
     def _linear(rng, fan_in, fan_out):
         bound = 1.0 / np.sqrt(fan_in)
-        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)),
-                   requires_grad=True)
+        w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         # zero biases keep initial embeddings spread on the sphere; a
         # uniform bias draw collapses them toward one direction
-        b = Tensor(np.zeros((1, fan_out)), requires_grad=True)
+        b = Tensor(np.zeros((1, fan_out)))
         return w, b
 
     def parameters(self) -> dict[str, Tensor]:
@@ -119,7 +118,7 @@ def init_model(config: EncoderConfig, k: int,
     bound = 1.0 / np.sqrt(config.embed_dim)
     c = rng.uniform(-bound, bound, size=(k, config.embed_dim))
     c /= np.sqrt((c * c).sum(axis=1, keepdims=True))
-    bank = PrototypeBank(Tensor(c, requires_grad=True))
+    bank = PrototypeBank(Tensor(c))
     return encoder, bank
 
 

@@ -2,9 +2,8 @@
 
 Matrices are plain 2-D C-contiguous float64 numpy arrays (row-major).
 The autodiff facility is a small dynamic graph: every `Tensor` op records
-its parents and a backward closure; `GradientTape.backward` walks the graph
-in reverse topological order and accumulates gradients into the watched
-parameters.
+its parents and a backward closure; `backward` walks the graph in reverse
+topological order and accumulates gradients into the named parameters.
 """
 from __future__ import annotations
 
@@ -33,12 +32,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Node in the dynamic autodiff graph; wraps a float64 ndarray."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward = None
 
@@ -166,26 +164,12 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-class GradientTape:
-    """Registry of watched parameters; single-owner, not thread-safe."""
 
-    def __init__(self):
-        self.params: dict[str, Tensor] = {}
-
-    def watch(self, name: str, tensor: Tensor) -> Tensor:
-        tensor.requires_grad = True
-        self.params[name] = tensor
-        return tensor
-
-    def parameter(self, name: str, data) -> Tensor:
-        return self.watch(name, Tensor(data, requires_grad=True))
-
-
-def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
+def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a gradient per watched parameter (zeros if unreachable); the
-    same tape can be swept repeatedly with identical results.
+    Returns a gradient per named parameter (zeros if unreachable); the same
+    graph can be swept repeatedly with identical results.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise UsageError("loss must be a scalar Tensor")
@@ -214,7 +198,7 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
             node._backward(node.grad)
 
     out = {}
-    for name, p in tape.params.items():
+    for name, p in params.items():
         out[name] = (p.grad.copy() if p.grad is not None
                      else np.zeros_like(p.data))
     return out

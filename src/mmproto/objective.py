@@ -2,9 +2,10 @@
 
 Codes come from the Sinkhorn solver and are treated as constants (no
 gradient flows through code estimation); the differentiable part is the
-temperature-scaled softmax over prototype scores. A per-modality feature
-queue can widen the sample pool that code estimation sees, since the batch
-is usually much smaller than the number of prototypes.
+temperature-scaled softmax over prototype scores. Rows of a per-modality
+feature queue, which the trainer fills, can widen the sample pool that code
+estimation sees, since the batch is usually much smaller than the number of
+prototypes. The loss itself has no side effects.
 """
 from __future__ import annotations
 
@@ -27,9 +28,9 @@ class LossConfig:
     queue_start_iteration: int = -1  # -1: resolved to one epoch by the trainer
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not 0 < self.temperature < np.inf:
             raise UsageError(
-                f"temperature must be > 0, got {self.temperature}")
+                f"temperature must be finite and > 0, got {self.temperature}")
         if self.queue_length < 0:
             raise UsageError("queue_length must be >= 0")
 
@@ -43,7 +44,6 @@ class FeatureQueue:
 
     def __init__(self, capacity: int, dim: int):
         self.capacity = capacity
-        self.dim = dim
         self.buffers = [np.zeros((capacity, dim)), np.zeros((capacity, dim))]
         self.fill = 0
         self.cursor = 0
@@ -53,21 +53,19 @@ class FeatureQueue:
         return self.buffers[modality][:self.fill]
 
     def push(self, z1: np.ndarray, z2: np.ndarray):
-        if self.capacity == 0:
+        """Copy in both modality batches, evicting the oldest rows."""
+        n, cap = len(z1), self.capacity
+        if cap == 0:
             return
-        for row1, row2 in zip(z1, z2):
-            self.buffers[0][self.cursor] = row1
-            self.buffers[1][self.cursor] = row2
-            self.cursor = (self.cursor + 1) % self.capacity
-            self.fill = min(self.fill + 1, self.capacity)
-
-
-def enqueue(queue: FeatureQueue, z1, z2) -> FeatureQueue:
-    """Insert detached copies of both modality batches, oldest evicted first."""
-    a = z1.data if isinstance(z1, Tensor) else np.asarray(z1, dtype=np.float64)
-    b = z2.data if isinstance(z2, Tensor) else np.asarray(z2, dtype=np.float64)
-    queue.push(a.copy(), b.copy())
-    return queue
+        keep = min(n, cap)  # only the last `cap` rows survive
+        start = (self.cursor + n - keep) % cap
+        head = min(keep, cap - start)  # rows before the ring wraps
+        for buffer, z in zip(self.buffers, (z1, z2)):
+            tail = z[n - keep:]
+            buffer[start:start + head] = tail[:head]
+            buffer[:keep - head] = tail[head:]
+        self.cursor = (self.cursor + n) % cap
+        self.fill = min(self.fill + n, cap)
 
 
 def compute_batch_codes(z: np.ndarray, bank: PrototypeBank,
@@ -88,15 +86,16 @@ def compute_batch_codes(z: np.ndarray, bank: PrototypeBank,
 
 
 def swapped_loss(z1: Tensor, z2: Tensor, bank: PrototypeBank,
-                 queue: FeatureQueue | None, config: LossConfig,
-                 use_queue: bool = False,
+                 queue_rows: tuple[np.ndarray, np.ndarray] | None,
+                 config: LossConfig,
                  codes: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Cross-entropy of each view's assignment against the other view's code.
 
     Returns a scalar Tensor (mean over the batch of both swapped terms).
-    Codes are constants for the gradient; `codes` overrides their
-    computation, which finite-difference checks use to freeze the targets.
-    Detached copies of both batches are enqueued afterwards.
+    `queue_rows`, a (modality 1, modality 2) pair of past embeddings or
+    None, widens each view's code estimation. Codes are constants for the
+    gradient; `codes` overrides their computation, which finite-difference
+    checks use to freeze the targets. Nothing passed in is modified.
     """
     if z1.shape != z2.shape:
         raise UsageError(f"view shapes differ: {z1.shape} vs {z2.shape}")
@@ -104,24 +103,19 @@ def swapped_loss(z1: Tensor, z2: Tensor, bank: PrototypeBank,
     if b == 0:
         raise UsageError("batch is empty")
 
-    queue_rows1 = queue_rows2 = None
-    if use_queue and queue is not None and queue.fill > 0:
-        queue_rows1 = queue.rows(0)
-        queue_rows2 = queue.rows(1)
-    elif b == 1:
-        warnings.warn("batch of 1 with no queue: codes are uninformative",
-                      stacklevel=2)
+    if queue_rows is None:
+        queue_rows = (None, None)
+        if b == 1:
+            warnings.warn("batch of 1 with no queue: codes are uninformative",
+                          stacklevel=2)
 
     if codes is None:
-        q1 = compute_batch_codes(z1.data, bank, queue_rows1, config.sinkhorn)
-        q2 = compute_batch_codes(z2.data, bank, queue_rows2, config.sinkhorn)
+        q1 = compute_batch_codes(z1.data, bank, queue_rows[0], config.sinkhorn)
+        q2 = compute_batch_codes(z2.data, bank, queue_rows[1], config.sinkhorn)
     else:
         q1, q2 = codes
 
     logp1 = prototype_scores(z1, bank).T.log_softmax_rows(config.temperature)
     logp2 = prototype_scores(z2, bank).T.log_softmax_rows(config.temperature)
-    loss = -((Tensor(q2) * logp1).sum() + (Tensor(q1) * logp2).sum()) * (1.0 / b)
-
-    if queue is not None:
-        enqueue(queue, z1, z2)
-    return loss
+    return -((Tensor(q2) * logp1).sum()
+             + (Tensor(q1) * logp2).sum()) * (1.0 / b)

@@ -23,13 +23,15 @@ class SinkhornConfig:
     convergence_tolerance: float = 0.0  # 0 disables early exit
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise UsageError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise UsageError(
+                f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.n_iterations < 1:
             raise UsageError(
                 f"n_iterations must be >= 1, got {self.n_iterations}")
-        if self.convergence_tolerance < 0:
-            raise UsageError("convergence_tolerance must be >= 0")
+        if not 0 <= self.convergence_tolerance < np.inf:
+            raise UsageError("convergence_tolerance must be finite and >= 0, "
+                             f"got {self.convergence_tolerance}")
 
 
 def converged_config(epsilon: float) -> SinkhornConfig:
@@ -56,33 +58,36 @@ def compute_codes(scores, config: SinkhornConfig) -> CodeMatrix:
     """Scale exp(scores / epsilon) onto the equipartition polytope.
 
     With convergence_tolerance == 0 this runs exactly `n_iterations`
-    alternating sweeps (rows to 1/K, then columns to 1/B). With a nonzero
+    alternating sweeps (rows to 1/K, then columns to 1/B); a row or column
+    whose kernel underflows to zero is a `NumericalError`. With a nonzero
     tolerance it solves for the fixed point directly: plain sweeps crawl
     for sharp kernels (small epsilon), so the converged path switches to a
     damped Newton iteration on the log-domain scaling potentials, which
-    reaches the same fixed point in a handful of steps.
+    reaches the same fixed point in a handful of steps. A single row or
+    column leaves one feasible Q: every entry 1/(K B).
     """
     scores = as_matrix(scores)
     if not np.isfinite(scores).all():
         raise NumericalError("scores contain NaN or Inf")
     k, b = scores.shape
-
     tol = config.convergence_tolerance
-    if tol > 0.0 and min(k, b) > 1:
+    if min(k, b) == 1:
+        return CodeMatrix(np.full((k, b), 1.0 / (k * b)))
+    if tol > 0.0:
         return CodeMatrix(_converged_solve(scores / config.epsilon, tol,
                                            config.n_iterations))
 
     s = scores / config.epsilon
     q = np.exp(s - s.max())  # global max subtraction: no overflow
     q /= q.sum()
-    for _ in range(config.n_iterations):
-        q *= (1.0 / k) / q.sum(axis=1, keepdims=True)
-        q *= (1.0 / b) / q.sum(axis=0, keepdims=True)
-        if tol > 0.0:
-            row_dev = np.abs(q.sum(axis=1) - 1.0 / k).max()
-            col_dev = np.abs(q.sum(axis=0) - 1.0 / b).max()
-            if row_dev < tol and col_dev < tol:
-                break
+    with np.errstate(all="ignore"):
+        for _ in range(config.n_iterations):
+            q *= (1.0 / k) / q.sum(axis=1, keepdims=True)
+            q *= (1.0 / b) / q.sum(axis=0, keepdims=True)
+    if not np.isfinite(q).all():
+        raise NumericalError(
+            f"exp(scores / epsilon) underflows at epsilon {config.epsilon}; "
+            "raise epsilon or use the converged solver")
     return CodeMatrix(q)
 
 

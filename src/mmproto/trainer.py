@@ -1,11 +1,12 @@
 """Training loop: SGD with momentum, cosine LR decay, prototype freezing.
 
 One optimizer step per batch: embed both modalities, evaluate the swapped
-loss, backprop through the tape, update with momentum SGD, and pull the
-prototypes back onto the unit sphere. Prototype gradients are zeroed for an
-initial freeze window so the codes stabilize before the cluster centers
-move. Every piece of run state needed to resume bit-exactly lives in the
-checkpoint, including the feature queue and momentum buffers.
+loss (with the feature queue's rows once the queue is switched on), push the
+batch into the queue, backprop through the tape, update with momentum SGD,
+and pull the prototypes back onto the unit sphere. Prototype gradients are
+zeroed for an initial freeze window so the codes stabilize before the
+cluster centers move. Every piece of run state needed to resume bit-exactly
+lives in the checkpoint, including the feature queue and momentum buffers.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .data import PairedCorpus, batches, n_batches
 from .errors import FormatError, NumericalAbort, NumericalError, UsageError
 from .model import (EncoderConfig, PrototypeBank, embed, init_model,
                     renormalize_prototypes)
-from .numerics import GradientTape, backward
+from .numerics import backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
@@ -44,8 +45,9 @@ class TrainConfig:
             raise UsageError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise UsageError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr < 0:
-            raise UsageError(f"base_lr must be >= 0, got {self.base_lr}")
+        if not 0 <= self.base_lr < np.inf:
+            raise UsageError(
+                f"base_lr must be finite and >= 0, got {self.base_lr}")
         if not 0 <= self.momentum < 1:
             raise UsageError(f"momentum must be in [0,1), got {self.momentum}")
 
@@ -249,12 +251,7 @@ def train(corpus: PairedCorpus, config: TrainConfig,
             raise UsageError("resume config differs from checkpoint config")
         iteration = _restore(resume_from, params, velocity, queue)
 
-    tape = GradientTape()
-    for name, p in params.items():
-        tape.watch(name, p)
-
     metrics: list[MetricsRecord] = []
-    ln_k = np.log(config.k_prototypes)
 
     while iteration < stop_at:
         epoch = iteration // steps_per_epoch
@@ -266,18 +263,20 @@ def train(corpus: PairedCorpus, config: TrainConfig,
             lr = cosine_lr(iteration, total_steps, config.base_lr)
             z1 = embed(encoder, batch.x1, 0)
             z2 = embed(encoder, batch.x2, 1)
+            rows = ((queue.rows(0), queue.rows(1))
+                    if iteration >= queue_start and queue.fill else None)
             try:
-                loss_t = swapped_loss(z1, z2, bank, queue, config.loss,
-                                      use_queue=iteration >= queue_start)
+                loss_t = swapped_loss(z1, z2, bank, rows, config.loss)
             except NumericalError:
                 # non-finite embeddings or prototypes poison the solver
                 raise NumericalAbort(iteration, batch.sample_indices,
                                      float("nan")) from None
+            queue.push(z1.data, z2.data)
             loss_val = float(loss_t.data[0, 0])
             if not np.isfinite(loss_val):
                 raise NumericalAbort(iteration, batch.sample_indices, loss_val)
 
-            grads = backward(tape, loss_t)
+            grads = backward(loss_t, params)
             frozen = iteration < freeze_iters
             if lr != 0.0:  # zero step size leaves every tensor bit-identical
                 for name, p in params.items():
@@ -364,7 +363,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed byte is a `FormatError` naming its
     offset or tensor. Tensor names and shapes must be those of the model
-    that the embedded config builds."""
+    that the embedded config builds, and every value must be finite."""
     with open(path, "rb") as f:
         blob = f.read()
     offset = 0
@@ -420,6 +419,8 @@ def load_checkpoint(path) -> Checkpoint:
         tensors[name] = np.frombuffer(
             take(8 * math.prod(dims), f"data of {name}"),
             dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise FormatError(f"tensor {name} at offset {at} holds NaN or Inf")
     if offset != len(blob):
         raise FormatError(
             f"{len(blob) - offset} trailing bytes at offset {offset}")

@@ -151,7 +151,7 @@ def test_criterion_7_modality_swap_symmetry():
         z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
         c = rng.standard_normal((k, d))
         c /= np.linalg.norm(c, axis=1, keepdims=True)
-        bank = PrototypeBank(Tensor(c, requires_grad=True))
+        bank = PrototypeBank(Tensor(c))
         fwd = float(swapped_loss(Tensor(z1), Tensor(z2), bank, None,
                                  cfg).data[0, 0])
         rev = float(swapped_loss(Tensor(z2), Tensor(z1), bank, None,

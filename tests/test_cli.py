@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from mmproto.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from mmproto.data import PairedCorpus, load_corpus, save_corpus
-from mmproto.trainer import TrainConfig, load_checkpoint
+from mmproto.errors import FormatError
+from mmproto.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -224,7 +225,24 @@ class TestExitCodes:
         ({}, "pretrain --data {tmp}/nan.mmp --out {tmp}/x.ckpt --epochs 1 "
              "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8",
          EXIT_NUMERIC, "numerical error: non-finite loss nan at iteration "),
+        *[({}, f"pretrain --data {{corpus}} --out {{tmp}}/x.ckpt {flag} {v}",
+           EXIT_USAGE, f"usage error: {field} must be finite")
+          for flag, field, v in [("--lr", "base_lr", "nan"),
+                                 ("--temperature", "temperature", "nan"),
+                                 ("--epsilon", "epsilon", "nan"),
+                                 ("--epsilon", "epsilon", "inf")]],
+        *[({}, f"gen-data --sigma {v} --out {{tmp}}/x.mmp", EXIT_USAGE,
+           "usage error: noise_sigma must be finite") for v in ("nan", "inf")],
+        ({}, "probe --ckpt {tmp}/nan.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: tensor param.adapter1.w at offset "),
+        *[({}, f"probe --ckpt {{ckpt}} --data {{tmp}}/nan.mmp --probe {kind}",
+           EXIT_NUMERIC, "numerical error: 1 modality 1 row(s) hold NaN")
+          for kind in ("linear", "knn", "cluster")],
+        ({"scores.csv": "1,-1\n1,-1\n"},
+         "codes --scores {tmp}/scores.csv --epsilon 0.001", EXIT_NUMERIC,
+         "numerical error: exp(scores / epsilon) underflows"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
                                   capsys, files, argv, code, prefix):
         corpus = load_corpus(corpus_file)
@@ -232,6 +250,9 @@ class TestExitCodes:
                     tmp_path / "unlabeled.mmp")
         corpus.modality1[5, 0] = np.nan
         save_corpus(corpus, tmp_path / "nan.mmp")
+        ckpt = load_checkpoint(trained_ckpt)
+        ckpt.params["adapter1.w"][2, 3] = np.inf
+        save_checkpoint(ckpt, tmp_path / "nan.ckpt")
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         argv = argv.format(tmp=tmp_path, corpus=corpus_file, ckpt=trained_ckpt)
@@ -260,7 +281,9 @@ class TestCorruptFiles:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_single_bit_flip(self, files, target, position, bit, probe):
-        """A flipped bit in either container ends as exit 0 or 1."""
+        """A flipped bit in either container ends as exit 0 or 1, except
+        that a flip making a probed (modality 1) corpus value NaN or Inf
+        ends as a numerical error."""
         root, corpus, ckpt = files
         blob = bytearray(ckpt if target == "ckpt" else corpus)
         blob[position % len(blob)] ^= 1 << bit
@@ -271,7 +294,14 @@ class TestCorruptFiles:
         code = main(["probe", "--ckpt", str(paths["ckpt"]),
                      "--data", str(paths["corpus"]), "--probe", probe,
                      "--knn-k", "3"])
-        assert code in (EXIT_OK, EXIT_IO)
+        try:
+            probed = load_corpus(paths["corpus"]).modality1
+        except FormatError:
+            probed = np.zeros(1)
+        if np.isfinite(probed).all():
+            assert code in (EXIT_OK, EXIT_IO)
+        else:
+            assert code == EXIT_NUMERIC
 
 
 class TestCodes:

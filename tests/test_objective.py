@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from mmproto.errors import UsageError
 from mmproto.model import PrototypeBank, init_model, EncoderConfig, embed
-from mmproto.numerics import GradientTape, Tensor, backward
+from mmproto.numerics import Tensor, backward
 from mmproto.objective import (FeatureQueue, LossConfig, compute_batch_codes,
-                               enqueue, swapped_loss)
+                               swapped_loss)
 from mmproto.sinkhorn import converged_config
 
 
@@ -17,7 +17,7 @@ def unit_rows(rng, n, d):
 
 
 def random_bank(rng, k, d):
-    return PrototypeBank(Tensor(unit_rows(rng, k, d), requires_grad=True))
+    return PrototypeBank(Tensor(unit_rows(rng, k, d)))
 
 
 def log_softmax(scores, temperature):
@@ -42,33 +42,59 @@ class TestLossConfig:
             LossConfig(queue_length=-1)
 
 
+def push_row_by_row(queue, z1, z2):
+    """Reference: the one-row-at-a-time ring insert that `push` replaces."""
+    if queue.capacity == 0:
+        return
+    for row1, row2 in zip(z1, z2):
+        queue.buffers[0][queue.cursor] = row1
+        queue.buffers[1][queue.cursor] = row2
+        queue.cursor = (queue.cursor + 1) % queue.capacity
+        queue.fill = min(queue.fill + 1, queue.capacity)
+
+
 class TestFeatureQueue:
     def test_fill_and_rows(self):
         q = FeatureQueue(capacity=4, dim=2)
-        enqueue(q, np.ones((3, 2)), 2 * np.ones((3, 2)))
+        q.push(np.ones((3, 2)), 2 * np.ones((3, 2)))
         assert q.fill == 3
         assert q.rows(0).shape == (3, 2)
         np.testing.assert_array_equal(q.rows(1), 2 * np.ones((3, 2)))
 
     def test_oldest_evicted(self):
         q = FeatureQueue(capacity=2, dim=1)
-        enqueue(q, np.array([[1.0]]), np.array([[1.0]]))
-        enqueue(q, np.array([[2.0]]), np.array([[2.0]]))
-        enqueue(q, np.array([[3.0]]), np.array([[3.0]]))
+        q.push(np.array([[1.0]]), np.array([[1.0]]))
+        q.push(np.array([[2.0]]), np.array([[2.0]]))
+        q.push(np.array([[3.0]]), np.array([[3.0]]))
         assert q.fill == 2
         assert sorted(q.rows(0)[:, 0].tolist()) == [2.0, 3.0]
 
     def test_enqueue_detaches(self):
         q = FeatureQueue(capacity=4, dim=2)
-        z = Tensor(np.ones((1, 2)), requires_grad=True)
-        enqueue(q, z, z)
-        z.data[...] = 99.0
+        z = np.ones((1, 2))
+        q.push(z, z)
+        z[...] = 99.0
         np.testing.assert_array_equal(q.rows(0), np.ones((1, 2)))
 
     def test_zero_capacity_noop(self):
         q = FeatureQueue(capacity=0, dim=2)
-        enqueue(q, np.ones((2, 2)), np.ones((2, 2)))
+        q.push(np.ones((2, 2)), np.ones((2, 2)))
         assert q.fill == 0
+
+    @given(capacity=st.integers(0, 5),
+           sizes=st.lists(st.integers(0, 7), max_size=6),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_push_matches_row_by_row(self, capacity, sizes, seed):
+        rng = np.random.default_rng(seed)
+        fast, slow = FeatureQueue(capacity, 3), FeatureQueue(capacity, 3)
+        for n in sizes:
+            z1, z2 = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+            fast.push(z1, z2)
+            push_row_by_row(slow, z1, z2)
+            assert (fast.fill, fast.cursor) == (slow.fill, slow.cursor)
+            for a, b in zip(fast.buffers, slow.buffers):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestCrossEntropyTerm:
@@ -140,8 +166,8 @@ class TestSwappedLoss:
     def make(self, seed, b=6, k=5, d=8):
         rng = np.random.default_rng(seed)
         bank = random_bank(rng, k, d)
-        z1 = Tensor(unit_rows(rng, b, d), requires_grad=True)
-        z2 = Tensor(unit_rows(rng, b, d), requires_grad=True)
+        z1 = Tensor(unit_rows(rng, b, d))
+        z2 = Tensor(unit_rows(rng, b, d))
         cfg = LossConfig(temperature=0.1, sinkhorn=converged_config(0.05),
                          queue_length=32)
         return z1, z2, bank, cfg
@@ -177,13 +203,20 @@ class TestSwappedLoss:
         with pytest.warns(UserWarning):
             swapped_loss(z1, z2, bank, None, cfg)
 
-    def test_loss_enqueues_both_views(self):
+    def test_no_side_effects(self):
+        """Inputs, queue rows included, come back unchanged, and a second
+        call gives the same loss bit for bit."""
         z1, z2, bank, cfg = self.make(11)
-        queue = FeatureQueue(cfg.queue_length, 8)
-        swapped_loss(z1, z2, bank, queue, cfg)
-        assert queue.fill == 6
-        np.testing.assert_array_equal(queue.rows(0), z1.data)
-        np.testing.assert_array_equal(queue.rows(1), z2.data)
+        rng = np.random.default_rng(11)
+        rows = (unit_rows(rng, 10, 8), unit_rows(rng, 10, 8))
+        inputs = [z1.data, z2.data, bank.c.data, *rows]
+        before = [a.copy() for a in inputs]
+        first = swapped_loss(z1, z2, bank, rows, cfg)
+        second = swapped_loss(z1, z2, bank, rows, cfg)
+        assert first.data[0, 0] == second.data[0, 0]
+        for a, b in zip(inputs, before):
+            np.testing.assert_array_equal(a, b)
+        assert z1.grad is None and bank.c.grad is None
 
     def test_frozen_codes_override(self):
         z1, z2, bank, cfg = self.make(12, b=4, k=3)
@@ -202,34 +235,27 @@ class TestSwappedLoss:
                          queue_length=16)
         encoder, bank = init_model(
             EncoderConfig((4, 4), (6,), 8), k=3, seed=0)
-        tape = GradientTape()
-        for name, p in encoder.parameters().items():
-            tape.watch(name, p)
-        tape.watch("prototypes", bank.c)
-        queue = FeatureQueue(cfg.queue_length, 8)
+        params = {**encoder.parameters(), "prototypes": bank.c}
 
         # iteration 1 fills the queue; iteration 2 uses it
         z1 = embed(encoder, rng.standard_normal((4, 4)), 0)
         z2 = embed(encoder, rng.standard_normal((4, 4)), 1)
-        swapped_loss(z1, z2, bank, queue, cfg)
+        queue = FeatureQueue(cfg.queue_length, 8)
+        queue.push(z1.data, z2.data)
 
         x1, x2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
         loss = swapped_loss(embed(encoder, x1, 0), embed(encoder, x2, 1),
-                            bank, queue, cfg, use_queue=True)
-        grads = backward(tape, loss)
+                            bank, (queue.rows(0), queue.rows(1)), cfg)
+        grads = backward(loss, params)
 
-        # recompute with a fresh queue holding plain copies of the same
-        # rows: gradients must be identical because queue rows are constants
-        queue2 = FeatureQueue(cfg.queue_length, 8)
-        enqueue(queue2, queue.rows(0)[:4].copy(), queue.rows(1)[:4].copy())
-        tape2 = GradientTape()
+        # recompute with plain copies of the same rows: gradients must be
+        # identical because queue rows are constants
+        rows2 = (queue.rows(0)[:4].copy(), queue.rows(1)[:4].copy())
         encoder2, bank2 = init_model(
             EncoderConfig((4, 4), (6,), 8), k=3, seed=0)
-        for name, p in encoder2.parameters().items():
-            tape2.watch(name, p)
-        tape2.watch("prototypes", bank2.c)
         loss2 = swapped_loss(embed(encoder2, x1, 0), embed(encoder2, x2, 1),
-                             bank2, queue2, cfg, use_queue=True)
-        grads2 = backward(tape2, loss2)
+                             bank2, rows2, cfg)
+        grads2 = backward(loss2, {**encoder2.parameters(),
+                                  "prototypes": bank2.c})
         for name in grads:
             np.testing.assert_allclose(grads[name], grads2[name], atol=1e-12)

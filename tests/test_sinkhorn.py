@@ -27,6 +27,13 @@ class TestConfig:
         with pytest.raises(UsageError):
             SinkhornConfig(n_iterations=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", np.nan), ("epsilon", np.inf),
+        ("convergence_tolerance", np.nan), ("convergence_tolerance", np.inf)])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(UsageError, match=f"^{field} must be finite"):
+            SinkhornConfig(**{field: value})
+
 
 class TestComputeCodes:
     def test_zero_scores_uniform(self):
@@ -47,6 +54,25 @@ class TestComputeCodes:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericalError):
             compute_codes([[np.nan, 0.0]], SinkhornConfig())
+
+    @pytest.mark.filterwarnings("error")
+    def test_sweep_underflow_named(self):
+        """A column whose kernel underflows to 0 would divide 0 by 0."""
+        with pytest.raises(NumericalError, match="at epsilon 0.001;"):
+            compute_codes([[1.0, -1.0], [1.0, -1.0]],
+                          SinkhornConfig(epsilon=0.001))
+        codes = compute_codes([[1.0, -1.0], [1.0, -1.0]],
+                              converged_config(0.001))
+        np.testing.assert_allclose(codes.q, 0.25, atol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1)])
+    @pytest.mark.parametrize("config", [SinkhornConfig(epsilon=1e-3),
+                                        converged_config(EPS)])
+    def test_single_row_or_column_closed_form(self, shape, config):
+        k, b = shape
+        scores = np.arange(k * b, dtype=float).reshape(shape) * 10.0
+        codes = compute_codes(scores, config)
+        assert (codes.q == 1.0 / (k * b)).all()
 
     def test_large_scores_no_overflow(self):
         codes = compute_codes([[1e4, -1e4], [-1e4, 1e4]], SinkhornConfig())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,20 @@ class TestTrain:
         seen = []
         train(tiny_corpus(), tiny_config(), metrics_sink=seen.append)
         assert len(seen) == 12
+
+    @pytest.mark.parametrize("steps, capacity",
+                             [(1, 16), (3, 16), (5, 13), (12, 13), (2, 0)])
+    def test_every_step_pushes_its_batch(self, steps, capacity):
+        """The trainer pushes both views of each 8-row batch into the
+        queue, before and after the queue starts feeding the codes."""
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, loss=dataclasses.replace(
+            cfg.loss, queue_length=capacity))
+        ckpt, metrics = train(tiny_corpus(), cfg, stop_after=steps)
+        assert ckpt.queue_fill == min(steps * 8, capacity)
+        assert ckpt.queue_cursor == (steps * 8) % max(capacity, 1)
+        assert ([m.queue_fill for m in metrics]
+                == [min(i * 8, capacity) for i in range(1, steps + 1)])
 
     def test_prototypes_frozen_window(self):
         corpus = tiny_corpus()
