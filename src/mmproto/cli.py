@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=0,
                    help="train/test split seed (default: %(default)s)")
     r.add_argument("--modality", default="m1", choices=["m1", "m2", "both"],
-                   help="embeddings to probe (default: %(default)s)")
+                   help="embeddings to probe; the cluster probe takes m1 "
+                        "or m2 (default: %(default)s)")
     r.add_argument("--knn-k", type=int, default=5,
                    help="neighbors for the knn probe (default: %(default)s)")
     r.add_argument("--results", help="append report to this file")
@@ -221,7 +223,7 @@ def _cmd_probe(args) -> int:
     elif args.probe == "knn":
         report = knn_probe(ckpt, corpus, args.knn_k, args.seed, args.modality)
     else:
-        report = cluster_agreement(ckpt, corpus)
+        report = cluster_agreement(ckpt, corpus, args.modality)
     line = json.dumps(report.to_dict(), sort_keys=True)
     print(line)
     if args.results:
@@ -232,7 +234,10 @@ def _cmd_probe(args) -> int:
 
 def _cmd_codes(args) -> int:
     try:
-        scores = np.loadtxt(args.scores, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # an empty file is reported as a FormatError below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            scores = np.loadtxt(args.scores, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{args.scores}: {exc}") from None
     if scores.size == 0:

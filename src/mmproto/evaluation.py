@@ -58,9 +58,9 @@ def _embeddings(ckpt: Checkpoint, corpus: PairedCorpus, modality: str):
         if bad.size:
             raise NumericalError(f"{bad.size} modality {m + 1} row(s) hold "
                                  f"NaN or Inf, the first is row {bad[0]}")
-    encoder, bank, _ = model_from_checkpoint(ckpt)
-    z = np.hstack([embed(encoder, inputs[m], m).data for m in views])
-    return z, bank
+    params = model_from_checkpoint(ckpt)
+    z = np.hstack([embed(params, inputs[m], m).data for m in views])
+    return z, params["prototypes"]
 
 
 def _split(n: int, split_seed: int, test_fraction: float = 0.2):
@@ -172,13 +172,17 @@ def purity_score(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(total) / len(truth)
 
 
-def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus) -> ClusterReport:
+def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus,
+                      modality: str = "m1") -> ClusterReport:
     if corpus.labels is None:
         raise UsageError("corpus has no labels")
-    z, bank = _embeddings(ckpt, corpus, "m1")
-    scores = prototype_scores(z, bank).data  # K x n
+    if modality not in ("m1", "m2"):
+        raise UsageError(
+            f"the cluster probe takes modality m1 or m2, got {modality!r}")
+    z, prototypes = _embeddings(ckpt, corpus, modality)
+    scores = prototype_scores(z, prototypes).data  # K x n
     assignments = scores.argmax(axis=0)
-    sizes = np.bincount(assignments, minlength=bank.n_prototypes)
+    sizes = np.bincount(assignments, minlength=prototypes.shape[0])
     return ClusterReport(
         nmi=normalized_mutual_information(assignments, corpus.labels),
         purity=purity_score(assignments, corpus.labels),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EncoderConfig, embed, init_model
+from .model import EncoderConfig, embed, init_params
 from .numerics import (Tensor, backward, finite_difference,
                        relative_gradient_error)
 from .objective import LossConfig, compute_batch_codes, swapped_loss
@@ -84,7 +84,7 @@ def _full_loss_check(name: str, seed: int, use_queue: bool,
                      perturb: str | None) -> CheckResult:
     """End-to-end swapped loss (B=4, K=8, D=5) against finite differences."""
     cfg = EncoderConfig(input_dims=(6, 6), hidden_dims=(7,), embed_dim=5)
-    encoder, bank = init_model(cfg, 8, seed + 1)
+    params = init_params(cfg, 8, seed + 1)
     rng = np.random.default_rng(seed + 2)
     x1 = rng.standard_normal((4, 6))
     x2 = rng.standard_normal((4, 6))
@@ -95,35 +95,14 @@ def _full_loss_check(name: str, seed: int, use_queue: bool,
         past /= np.sqrt((past * past).sum(axis=1, keepdims=True))
         rows = (past, past[::-1])
 
-    params = {k: t.data.copy() for k, t in encoder.parameters().items()}
-    params["prototypes"] = bank.c.data.copy()
-    param_tensors = dict(encoder.parameters())
-    param_tensors["prototypes"] = bank.c
-
     # freeze codes at the base point: the gradient treats them as constants
-    z1_base = embed(encoder, x1, 0).data
-    z2_base = embed(encoder, x2, 1).data
-    q1 = compute_batch_codes(z1_base, bank, rows[0], loss_cfg.sinkhorn)
-    q2 = compute_batch_codes(z2_base, bank, rows[1], loss_cfg.sinkhorn)
-
-    def loss_from(raw: dict) -> float:
-        for key, t in param_tensors.items():
-            t.data[...] = raw[key]
-        z1 = embed(encoder, x1, 0)
-        z2 = embed(encoder, x2, 1)
-        loss = swapped_loss(z1, z2, bank, None, loss_cfg, codes=(q1, q2))
-        return float(loss.data[0, 0])
-
-    for key, t in param_tensors.items():
-        t.data[...] = params[key]
-    z1 = embed(encoder, x1, 0)
-    z2 = embed(encoder, x2, 1)
-    loss = swapped_loss(z1, z2, bank, None, loss_cfg, codes=(q1, q2))
-    analytic = backward(loss, param_tensors)
-    if perturb == name:
-        analytic["prototypes"] = analytic["prototypes"] + 0.5
-
-    numeric = finite_difference(loss_from, params, step=FD_STEP)
-    for key, t in param_tensors.items():  # restore base values
-        t.data[...] = params[key]
-    return CheckResult(name, relative_gradient_error(analytic, numeric))
+    raw = {key: t.data for key, t in params.items()}
+    q1 = compute_batch_codes(embed(params, x1, 0).data, raw["prototypes"],
+                             rows[0], loss_cfg.sinkhorn)
+    q2 = compute_batch_codes(embed(params, x2, 1).data, raw["prototypes"],
+                             rows[1], loss_cfg.sinkhorn)
+    return _check(
+        name, lambda p: swapped_loss(embed(p, x1, 0), embed(p, x2, 1),
+                                     p["prototypes"], None, loss_cfg,
+                                     codes=(q1, q2)),
+        raw, perturb)

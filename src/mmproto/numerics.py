@@ -141,15 +141,23 @@ class Tensor:
         return self._make(logp, (self,), backward)
 
     def l2_normalize_rows(self) -> "Tensor":
-        norms = np.sqrt((self.data * self.data).sum(axis=1, keepdims=True))
-        tiny = norms[:, 0] < 1e-150  # squares below ~1e-308 lose bits
-        if tiny.any():
-            peak = np.abs(self.data[tiny]).max(axis=1, keepdims=True)
-            peak[peak == 0.0] = 1.0
-            norms[tiny] = peak * np.sqrt(
-                ((self.data[tiny] / peak) ** 2).sum(axis=1, keepdims=True))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((self.data * self.data).sum(axis=1,
+                                                        keepdims=True))
         safe = np.where(norms == 0.0, 1.0, norms)
         y = self.data / safe
+        # squares below ~1e-308 lose bits and above ~1e308 overflow, so
+        # those rows are normalized in units of their largest entry
+        rescale = (norms[:, 0] < 1e-150) | (norms[:, 0] > 1e150)
+        if rescale.any():
+            peak = np.abs(self.data[rescale]).max(axis=1, keepdims=True)
+            peak[peak == 0.0] = 1.0
+            unit = self.data[rescale] / peak
+            scale = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
+            scale[scale == 0.0] = 1.0
+            y[rescale] = unit / scale
+            with np.errstate(over="ignore"):
+                safe[rescale] = peak * scale
 
         def backward(g):
             dot = (g * y).sum(axis=1, keepdims=True)
@@ -190,7 +198,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
             if id(p) not in visited:
                 stack.append((p, False))
 
-    for node in topo:
+    for node in (*topo, *params.values()):
         node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):

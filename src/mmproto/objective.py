@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .model import PrototypeBank, prototype_scores
+from .model import prototype_scores
 from .numerics import Tensor
 from .sinkhorn import SinkhornConfig, compute_codes
 
@@ -68,7 +68,7 @@ class FeatureQueue:
         self.fill = min(self.fill + n, cap)
 
 
-def compute_batch_codes(z: np.ndarray, bank: PrototypeBank,
+def compute_batch_codes(z: np.ndarray, prototypes: np.ndarray,
                         queue_rows: np.ndarray | None,
                         config: SinkhornConfig) -> np.ndarray:
     """Sinkhorn codes for the current batch, as B x K probability rows.
@@ -79,13 +79,13 @@ def compute_batch_codes(z: np.ndarray, bank: PrototypeBank,
     cols = z
     if queue_rows is not None and len(queue_rows):
         cols = np.vstack([z, queue_rows])
-    scores = bank.c.data @ cols.T  # K x (B + queue)
+    scores = prototypes @ cols.T  # K x (B + queue)
     q = compute_codes(scores, config).q[:, :z.shape[0]]
     q = q / q.sum(axis=0, keepdims=True)
     return q.T
 
 
-def swapped_loss(z1: Tensor, z2: Tensor, bank: PrototypeBank,
+def swapped_loss(z1: Tensor, z2: Tensor, prototypes: Tensor,
                  queue_rows: tuple[np.ndarray, np.ndarray] | None,
                  config: LossConfig,
                  codes: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
@@ -110,12 +110,14 @@ def swapped_loss(z1: Tensor, z2: Tensor, bank: PrototypeBank,
                           stacklevel=2)
 
     if codes is None:
-        q1 = compute_batch_codes(z1.data, bank, queue_rows[0], config.sinkhorn)
-        q2 = compute_batch_codes(z2.data, bank, queue_rows[1], config.sinkhorn)
+        c = prototypes.data
+        q1 = compute_batch_codes(z1.data, c, queue_rows[0], config.sinkhorn)
+        q2 = compute_batch_codes(z2.data, c, queue_rows[1], config.sinkhorn)
     else:
         q1, q2 = codes
 
-    logp1 = prototype_scores(z1, bank).T.log_softmax_rows(config.temperature)
-    logp2 = prototype_scores(z2, bank).T.log_softmax_rows(config.temperature)
+    tau = config.temperature
+    logp1 = prototype_scores(z1, prototypes).T.log_softmax_rows(tau)
+    logp2 = prototype_scores(z2, prototypes).T.log_softmax_rows(tau)
     return -((Tensor(q2) * logp1).sum()
              + (Tensor(q1) * logp2).sum()) * (1.0 / b)

@@ -19,9 +19,8 @@ import numpy as np
 
 from .data import PairedCorpus, batches, n_batches
 from .errors import FormatError, NumericalAbort, NumericalError, UsageError
-from .model import (EncoderConfig, PrototypeBank, embed, init_model,
-                    renormalize_prototypes)
-from .numerics import backward
+from .model import EncoderConfig, embed, init_params, renormalize_prototypes
+from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
@@ -187,13 +186,10 @@ def _resolve(cfg: TrainConfig, steps_per_epoch: int) -> tuple[int, int]:
     return freeze, queue_start
 
 
-def _build(cfg: TrainConfig):
-    """Fresh encoder, prototype bank, queue, and the named parameters."""
-    encoder, bank = init_model(cfg.encoder, cfg.k_prototypes, cfg.seed)
-    queue = FeatureQueue(cfg.loss.queue_length, cfg.encoder.embed_dim)
-    params = dict(encoder.parameters())
-    params["prototypes"] = bank.c
-    return encoder, bank, queue, params
+def _build(cfg: TrainConfig) -> tuple[dict, FeatureQueue]:
+    """Fresh named parameters and an empty feature queue."""
+    params = init_params(cfg.encoder, cfg.k_prototypes, cfg.seed)
+    return params, FeatureQueue(cfg.loss.queue_length, cfg.encoder.embed_dim)
 
 
 def _snapshot(config: TrainConfig, params: dict, velocity: dict,
@@ -243,7 +239,7 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                                                          total_steps)
     freeze_iters, queue_start = _resolve(config, steps_per_epoch)
 
-    encoder, bank, queue, params = _build(config)
+    params, queue = _build(config)
     velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
     iteration = 0
     if resume_from is not None:
@@ -261,12 +257,13 @@ def train(corpus: PairedCorpus, config: TrainConfig,
         remaining = stop_at - iteration
         for batch in epoch_batches[start_in_epoch:start_in_epoch + remaining]:
             lr = cosine_lr(iteration, total_steps, config.base_lr)
-            z1 = embed(encoder, batch.x1, 0)
-            z2 = embed(encoder, batch.x2, 1)
+            z1 = embed(params, batch.x1, 0)
+            z2 = embed(params, batch.x2, 1)
             rows = ((queue.rows(0), queue.rows(1))
                     if iteration >= queue_start and queue.fill else None)
             try:
-                loss_t = swapped_loss(z1, z2, bank, rows, config.loss)
+                loss_t = swapped_loss(z1, z2, params["prototypes"], rows,
+                                      config.loss)
             except NumericalError:
                 # non-finite embeddings or prototypes poison the solver
                 raise NumericalAbort(iteration, batch.sample_indices,
@@ -287,9 +284,10 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                     v += grads[name]
                     p.data -= lr * v
                 if not frozen:
-                    renormalize_prototypes(bank)
+                    renormalize_prototypes(params["prototypes"])
 
-            code_ent = _code_usage_entropy(z1.data, z2.data, bank,
+            code_ent = _code_usage_entropy(z1.data, z2.data,
+                                           params["prototypes"].data,
                                            config.loss)
             record = MetricsRecord(iteration, epoch, loss_val, lr,
                                    code_ent, queue.fill)
@@ -301,27 +299,25 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     return _snapshot(config, params, velocity, iteration, queue), metrics
 
 
-def _code_usage_entropy(z1: np.ndarray, z2: np.ndarray, bank: PrototypeBank,
-                        loss_cfg: LossConfig) -> float:
+def _code_usage_entropy(z1: np.ndarray, z2: np.ndarray,
+                        prototypes: np.ndarray, loss_cfg: LossConfig) -> float:
     """Entropy of the batch-mean code distribution over prototypes."""
     from .objective import compute_batch_codes
-    q1 = compute_batch_codes(z1, bank, None, loss_cfg.sinkhorn)
-    q2 = compute_batch_codes(z2, bank, None, loss_cfg.sinkhorn)
+    q1 = compute_batch_codes(z1, prototypes, None, loss_cfg.sinkhorn)
+    q2 = compute_batch_codes(z2, prototypes, None, loss_cfg.sinkhorn)
     mean = np.concatenate([q1, q2]).mean(axis=0)
     nz = mean[mean > 0]
     return float(-(nz * np.log(nz)).sum())
 
 
-def model_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild encoder, prototype bank and queue with checkpoint weights."""
-    encoder, bank, queue, params = _build(ckpt.config)
-    _restore(ckpt, params, {}, queue)
-    return encoder, bank, queue
+def model_from_checkpoint(ckpt: Checkpoint) -> dict:
+    """The named parameters of a checkpoint, as Tensors of their own."""
+    return {name: Tensor(value.copy()) for name, value in ckpt.params.items()}
 
 
 def random_init_checkpoint(config: TrainConfig) -> Checkpoint:
     """Checkpoint of a freshly initialized (untrained) model."""
-    _, _, queue, params = _build(config)
+    params, queue = _build(config)
     velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
     return _snapshot(config, params, velocity, 0, queue)
 

@@ -12,7 +12,7 @@ import pytest
 from mmproto.data import CorpusSpec, generate, load_corpus, save_corpus
 from mmproto.evaluation import cluster_agreement, linear_probe
 from mmproto.gradcheck import run_suite
-from mmproto.model import EncoderConfig, PrototypeBank, init_model
+from mmproto.model import EncoderConfig
 from mmproto.numerics import Tensor
 from mmproto.objective import LossConfig, swapped_loss
 from mmproto.sinkhorn import compute_codes, converged_config
@@ -151,10 +151,10 @@ def test_criterion_7_modality_swap_symmetry():
         z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
         c = rng.standard_normal((k, d))
         c /= np.linalg.norm(c, axis=1, keepdims=True)
-        bank = PrototypeBank(Tensor(c))
-        fwd = float(swapped_loss(Tensor(z1), Tensor(z2), bank, None,
+        prototypes = Tensor(c)
+        fwd = float(swapped_loss(Tensor(z1), Tensor(z2), prototypes, None,
                                  cfg).data[0, 0])
-        rev = float(swapped_loss(Tensor(z2), Tensor(z1), bank, None,
+        rev = float(swapped_loss(Tensor(z2), Tensor(z1), prototypes, None,
                                  cfg).data[0, 0])
         assert abs(fwd - rev) < 1e-12
 

@@ -241,8 +241,11 @@ class TestExitCodes:
         ({"scores.csv": "1,-1\n1,-1\n"},
          "codes --scores {tmp}/scores.csv --epsilon 0.001", EXIT_NUMERIC,
          "numerical error: exp(scores / epsilon) underflows"),
+        ({}, "probe --ckpt {ckpt} --data {corpus} --probe cluster "
+             "--modality both",
+         EXIT_USAGE, "usage error: the cluster probe takes modality m1 or m2"),
     ])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
                                   capsys, files, argv, code, prefix):
         corpus = load_corpus(corpus_file)

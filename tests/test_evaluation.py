@@ -8,10 +8,11 @@ from mmproto.errors import UsageError
 from mmproto.evaluation import (cluster_agreement, knn_probe, linear_probe,
                                 normalized_mutual_information, purity_score,
                                 train_linear_classifier)
-from mmproto.model import EncoderConfig
+from mmproto.model import EncoderConfig, embed
 from mmproto.objective import LossConfig
 from mmproto.sinkhorn import SinkhornConfig
-from mmproto.trainer import TrainConfig, random_init_checkpoint
+from mmproto.trainer import (TrainConfig, model_from_checkpoint,
+                             random_init_checkpoint, train)
 
 
 def probe_corpus(noise=0.05, n=200, seed=5):
@@ -175,3 +176,17 @@ class TestClusterAgreement:
         a = cluster_agreement(ckpt, probe_corpus())
         b = cluster_agreement(ckpt, probe_corpus())
         assert a.nmi == b.nmi and a.purity == b.purity
+
+    def test_modality_2_assigns_its_own_embeddings(self):
+        corpus = probe_corpus()
+        ckpt, _ = train(corpus, probe_config())
+        params = model_from_checkpoint(ckpt)
+        z = embed(params, corpus.modality2, 1).data
+        assigned = (params["prototypes"].data @ z.T).argmax(axis=0)
+        report = cluster_agreement(ckpt, corpus, "m2")
+        assert report.nmi == normalized_mutual_information(assigned,
+                                                           corpus.labels)
+        assert report.purity == purity_score(assigned, corpus.labels)
+        np.testing.assert_array_equal(report.cluster_sizes,
+                                      np.bincount(assigned, minlength=3))
+        assert report.nmi != cluster_agreement(ckpt, corpus, "m1").nmi

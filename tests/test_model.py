@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmproto.errors import UsageError
-from mmproto.model import (EncoderConfig, PrototypeBank, embed, init_model,
+from mmproto.model import (EncoderConfig, embed, init_params,
                            prototype_scores, renormalize_prototypes)
 from mmproto.numerics import (Tensor, backward, finite_difference,
                               relative_gradient_error)
@@ -27,106 +27,106 @@ class TestConfig:
 
     def test_min_prototypes(self):
         with pytest.raises(UsageError):
-            init_model(CFG, k=1, seed=0)
+            init_params(CFG, k=1, seed=0)
 
 
 class TestInit:
     def test_deterministic(self):
-        e1, b1 = init_model(CFG, k=4, seed=3)
-        e2, b2 = init_model(CFG, k=4, seed=3)
-        for (name, p), (_, q) in zip(sorted(e1.parameters().items()),
-                                     sorted(e2.parameters().items())):
-            assert (p.data == q.data).all(), name
-        assert (b1.c.data == b2.c.data).all()
+        p1 = init_params(CFG, k=4, seed=3)
+        p2 = init_params(CFG, k=4, seed=3)
+        assert list(p1) == list(p2)
+        for name in p1:
+            assert (p1[name].data == p2[name].data).all(), name
 
     def test_seed_changes_weights(self):
-        e1, _ = init_model(CFG, k=4, seed=3)
-        e2, _ = init_model(CFG, k=4, seed=4)
-        assert not (e1.parameters()["adapter1.w"].data
-                    == e2.parameters()["adapter1.w"].data).all()
+        p1 = init_params(CFG, k=4, seed=3)
+        p2 = init_params(CFG, k=4, seed=4)
+        assert not (p1["adapter1.w"].data == p2["adapter1.w"].data).all()
 
     def test_weight_scale(self):
-        encoder, _ = init_model(CFG, k=4, seed=0)
-        w = encoder.parameters()["adapter1.w"].data
+        w = init_params(CFG, k=4, seed=0)["adapter1.w"].data
         assert np.abs(w).max() <= 1.0 / np.sqrt(6)
 
     def test_prototypes_unit_norm(self):
-        _, bank = init_model(CFG, k=7, seed=0)
-        norms = np.sqrt((bank.c.data ** 2).sum(axis=1))
+        c = init_params(CFG, k=7, seed=0)["prototypes"].data
+        norms = np.sqrt((c ** 2).sum(axis=1))
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_parameter_names(self):
-        encoder, _ = init_model(CFG, k=4, seed=0)
-        assert set(encoder.parameters()) == {
+        assert set(init_params(CFG, k=4, seed=0)) == {
             "adapter1.w", "adapter1.b", "adapter2.w", "adapter2.b",
-            "head0.w", "head0.b", "head1.w", "head1.b"}
+            "head0.w", "head0.b", "head1.w", "head1.b", "prototypes"}
 
     def test_shared_trunk_parameter_identity(self):
-        """Both modality paths read the very same trunk/head tensors."""
-        encoder, _ = init_model(
-            EncoderConfig((6, 9), (8, 8), 5), k=4, seed=0)
-        params = encoder.parameters()
-        assert params["trunk0.w"] is encoder.trunk[0][0]
-        assert params["head0.w"] is encoder.head[0][0]
-        # adapters are the only per-modality parameters
-        assert encoder.adapters[0][0] is not encoder.adapters[1][0]
+        """Each modality's loss reaches the shared trunk and head and its own
+        adapter, never the other modality's adapter."""
+        params = init_params(EncoderConfig((6, 9), (8, 8), 5), k=4, seed=0)
+        rng = np.random.default_rng(0)
+        inputs = (rng.standard_normal((3, 6)), rng.standard_normal((3, 9)))
+        weights = Tensor(rng.standard_normal((3, 5)))
+        shared = ("trunk0.w", "trunk0.b", "head0.w", "head0.b",
+                  "head1.w", "head1.b")
+        for m in (0, 1):
+            grads = backward((embed(params, inputs[m], m) * weights).sum(),
+                             params)
+            for name in (*shared, f"adapter{m + 1}.w", f"adapter{m + 1}.b"):
+                assert np.abs(grads[name]).max() > 0, (m, name)
+            for name in (f"adapter{2 - m}.w", f"adapter{2 - m}.b"):
+                assert not grads[name].any(), (m, name)
 
 
 class TestEmbed:
     def test_rows_unit_norm(self):
-        encoder, _ = init_model(CFG, k=4, seed=1)
+        params = init_params(CFG, k=4, seed=1)
         x = np.random.default_rng(0).standard_normal((10, 6))
-        z = embed(encoder, x, 0).data
+        z = embed(params, x, 0).data
         np.testing.assert_allclose((z ** 2).sum(axis=1), 1.0, atol=1e-12)
 
     def test_modality_dim_checked(self):
-        encoder, _ = init_model(CFG, k=4, seed=1)
+        params = init_params(CFG, k=4, seed=1)
         with pytest.raises(UsageError):
-            embed(encoder, np.zeros((3, 9)), 0)
+            embed(params, np.zeros((3, 9)), 0)
 
     def test_bad_modality_index(self):
-        encoder, _ = init_model(CFG, k=4, seed=1)
+        params = init_params(CFG, k=4, seed=1)
         with pytest.raises(UsageError):
-            embed(encoder, np.zeros((3, 6)), 2)
+            embed(params, np.zeros((3, 6)), 2)
 
     def test_deterministic_and_pure(self):
-        encoder, _ = init_model(CFG, k=4, seed=1)
+        params = init_params(CFG, k=4, seed=1)
         x = np.random.default_rng(1).standard_normal((4, 9))
-        a = embed(encoder, x, 1).data
-        b = embed(encoder, x, 1).data
+        a = embed(params, x, 1).data
+        b = embed(params, x, 1).data
         assert (a == b).all()
 
     def test_gradient_matches_finite_differences(self):
-        encoder, _ = init_model(CFG, k=4, seed=2)
+        params = init_params(CFG, k=4, seed=2)
+        del params["prototypes"]  # the embedding does not reach them
         x = np.random.default_rng(2).standard_normal((3, 6))
         weights = np.random.default_rng(3).standard_normal((3, 5))
 
-        loss = (embed(encoder, x, 0) * Tensor(weights)).sum()
-        analytic = backward(loss, encoder.parameters())
-
-        raw = {name: p.data.copy() for name, p in encoder.parameters().items()}
+        loss = (embed(params, x, 0) * Tensor(weights)).sum()
+        analytic = backward(loss, params)
 
         def scalar(values):
-            enc, _ = init_model(CFG, k=4, seed=2)
-            for name, p in enc.parameters().items():
-                p.data[...] = values[name]
-            return float((embed(enc, x, 0) * Tensor(weights)).sum().data[0, 0])
+            p = {name: Tensor(v) for name, v in values.items()}
+            return float((embed(p, x, 0) * Tensor(weights)).sum().data[0, 0])
 
+        raw = {name: p.data for name, p in params.items()}
         numeric = finite_difference(scalar, raw)
         assert relative_gradient_error(analytic, numeric) < 1e-4
 
 
 class TestPrototypeScores:
     def test_hand_computed(self):
-        bank = PrototypeBank(Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])))
+        prototypes = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         z = np.array([[0.6, 0.8]])
-        np.testing.assert_allclose(prototype_scores(z, bank).data,
+        np.testing.assert_allclose(prototype_scores(z, prototypes).data,
                                    [[0.6], [0.8]])
 
     def test_dim_mismatch(self):
-        bank = PrototypeBank(Tensor(np.eye(2)))
         with pytest.raises(UsageError):
-            prototype_scores(np.zeros((3, 4)), bank)
+            prototype_scores(np.zeros((3, 4)), Tensor(np.eye(2)))
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -136,25 +136,26 @@ class TestPrototypeScores:
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         z = rng.standard_normal((5, 6))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        scores = prototype_scores(z, PrototypeBank(Tensor(c))).data
+        scores = prototype_scores(z, Tensor(c)).data
         assert np.abs(scores).max() <= 1.0 + 1e-12
 
 
 class TestRenormalizePrototypes:
     def test_rows_back_to_unit(self):
-        bank = PrototypeBank(Tensor(np.array([[3.0, 4.0], [0.5, 0.0]])))
-        renormalize_prototypes(bank)
-        np.testing.assert_allclose(np.linalg.norm(bank.c.data, axis=1), 1.0)
-        assert bank.rerandomized_rows == []
+        prototypes = Tensor(np.array([[3.0, 4.0], [0.5, 0.0]]))
+        assert renormalize_prototypes(prototypes) == []
+        np.testing.assert_allclose(np.linalg.norm(prototypes.data, axis=1),
+                                   1.0)
 
     def test_dead_row_rerandomized(self):
-        bank = PrototypeBank(Tensor(np.array([[3.0, 4.0], [0.0, 0.0]])))
-        renormalize_prototypes(bank)
-        assert bank.rerandomized_rows == [1]
-        np.testing.assert_allclose(np.linalg.norm(bank.c.data, axis=1), 1.0)
+        prototypes = Tensor(np.array([[3.0, 4.0], [0.0, 0.0]]))
+        assert renormalize_prototypes(prototypes) == [1]
+        np.testing.assert_allclose(np.linalg.norm(prototypes.data, axis=1),
+                                   1.0)
 
     def test_in_place(self):
-        bank = PrototypeBank(Tensor(np.array([[2.0, 0.0]])))
-        original = bank.c
-        renormalize_prototypes(bank)
-        assert bank.c is original
+        prototypes = Tensor(np.array([[2.0, 0.0]]))
+        original = prototypes.data
+        renormalize_prototypes(prototypes)
+        assert prototypes.data is original
+        np.testing.assert_array_equal(original, [[1.0, 0.0]])

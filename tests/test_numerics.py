@@ -102,11 +102,15 @@ class TestL2NormalizeRows:
 
     @given(m=finite_matrices)
     @example(m=np.array([[9.4e-160]]))  # squares underflow
+    @example(m=np.array([[1e200, 1e200]]))  # squares overflow
     @settings(max_examples=50)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_idempotent(self, m):
         once = l2_normalize_rows(m)
         twice = l2_normalize_rows(once)
         np.testing.assert_allclose(once, twice, atol=1e-9)
+        nonzero = (m != 0).any(axis=1)
+        np.testing.assert_allclose(np.linalg.norm(once[nonzero], axis=1), 1.0)
 
 
 class TestBackward:
@@ -132,6 +136,15 @@ class TestBackward:
         first = backward(loss, {"p": p})
         second = backward(loss, {"p": p})
         assert (first["p"] == second["p"]).all()
+
+    def test_unreached_parameter_gets_zeros(self):
+        """A parameter the loss does not reach gets zeros, not the gradient
+        an earlier sweep left on it."""
+        a, b = Tensor(np.ones((1, 1))), Tensor(np.ones((1, 1)))
+        backward((a * a).sum(), {"a": a, "b": b})
+        grads = backward((b * b).sum(), {"a": a, "b": b})
+        np.testing.assert_array_equal(grads["a"], [[0.0]])
+        np.testing.assert_array_equal(grads["b"], [[2.0]])
 
     def test_gradient_shapes_match(self):
         w = Tensor(np.ones((3, 4)))

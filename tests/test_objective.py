@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmproto.errors import UsageError
-from mmproto.model import PrototypeBank, init_model, EncoderConfig, embed
+from mmproto.model import EncoderConfig, embed, init_params
 from mmproto.numerics import Tensor, backward
 from mmproto.objective import (FeatureQueue, LossConfig, compute_batch_codes,
                                swapped_loss)
@@ -16,8 +16,8 @@ def unit_rows(rng, n, d):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def random_bank(rng, k, d):
-    return PrototypeBank(Tensor(unit_rows(rng, k, d)))
+def random_prototypes(rng, k, d):
+    return Tensor(unit_rows(rng, k, d))
 
 
 def log_softmax(scores, temperature):
@@ -103,32 +103,33 @@ class TestCrossEntropyTerm:
     def test_uniform_targets(self):
         rng = np.random.default_rng(0)
         c = unit_rows(rng, 1, 4)
-        bank = PrototypeBank(Tensor(np.repeat(c, 3, axis=0)))  # equal scores
+        prototypes = Tensor(np.repeat(c, 3, axis=0))  # equal scores
         z = Tensor(unit_rows(rng, 2, 4))
         q = np.full((2, 3), 1.0 / 3)
-        loss = swapped_loss(z, z, bank, None, LossConfig(), codes=(q, q))
+        loss = swapped_loss(z, z, prototypes, None, LossConfig(),
+                            codes=(q, q))
         assert float(loss.data[0, 0]) == pytest.approx(2 * np.log(3))
 
     def test_one_hot_target_picks_log_prob(self):
         rng = np.random.default_rng(1)
-        bank = random_bank(rng, 3, 4)
+        prototypes = random_prototypes(rng, 3, 4)
         z1, z2 = unit_rows(rng, 2, 4), unit_rows(rng, 2, 4)
         q1, q2 = np.eye(3)[[0, 2]], np.eye(3)[[1, 1]]
-        loss = swapped_loss(Tensor(z1), Tensor(z2), bank, None,
+        loss = swapped_loss(Tensor(z1), Tensor(z2), prototypes, None,
                             LossConfig(temperature=0.1), codes=(q1, q2))
-        logp1 = log_softmax(z1 @ bank.c.data.T, 0.1)
-        logp2 = log_softmax(z2 @ bank.c.data.T, 0.1)
+        logp1 = log_softmax(z1 @ prototypes.data.T, 0.1)
+        logp2 = log_softmax(z2 @ prototypes.data.T, 0.1)
         expect = -(logp1[0, 1] + logp1[1, 1] + logp2[0, 0] + logp2[1, 2]) / 2
         assert float(loss.data[0, 0]) == pytest.approx(expect, abs=1e-12)
 
     def test_zero_probability_clamped(self):
         """A target on a prototype whose probability underflows to 0
         still gives a finite loss: the log is taken in the log domain."""
-        bank = PrototypeBank(Tensor([[1.0, 0.0], [-1.0, 0.0]]))
+        prototypes = Tensor([[1.0, 0.0], [-1.0, 0.0]])
         z = Tensor([[1.0, 0.0], [1.0, 0.0]])
         q = np.array([[0.0, 1.0], [0.0, 1.0]])
-        loss = swapped_loss(z, z, bank, None, LossConfig(temperature=0.001),
-                            codes=(q, q))
+        loss = swapped_loss(z, z, prototypes, None,
+                            LossConfig(temperature=0.001), codes=(q, q))
         assert np.exp(-2000.0) == 0.0
         assert float(loss.data[0, 0]) == pytest.approx(4000.0)
 
@@ -136,8 +137,8 @@ class TestCrossEntropyTerm:
 class TestComputeBatchCodes:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(2)
-        bank = random_bank(rng, 5, 8)
-        q = compute_batch_codes(unit_rows(rng, 6, 8), bank, None,
+        prototypes = unit_rows(rng, 5, 8)
+        q = compute_batch_codes(unit_rows(rng, 6, 8), prototypes, None,
                                 converged_config(0.05))
         assert q.shape == (6, 5)
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
@@ -145,19 +146,20 @@ class TestComputeBatchCodes:
 
     def test_queue_columns_change_codes(self):
         rng = np.random.default_rng(3)
-        bank = random_bank(rng, 4, 8)
+        prototypes = unit_rows(rng, 4, 8)
         z = unit_rows(rng, 5, 8)
         extra = unit_rows(rng, 16, 8)
-        plain = compute_batch_codes(z, bank, None, converged_config(0.05))
-        with_queue = compute_batch_codes(z, bank, extra,
+        plain = compute_batch_codes(z, prototypes, None,
+                                    converged_config(0.05))
+        with_queue = compute_batch_codes(z, prototypes, extra,
                                          converged_config(0.05))
         assert np.abs(plain - with_queue).max() > 1e-6
 
     def test_batch_columns_only(self):
         rng = np.random.default_rng(4)
-        bank = random_bank(rng, 4, 8)
+        prototypes = unit_rows(rng, 4, 8)
         z = unit_rows(rng, 3, 8)
-        q = compute_batch_codes(z, bank, unit_rows(rng, 10, 8),
+        q = compute_batch_codes(z, prototypes, unit_rows(rng, 10, 8),
                                 converged_config(0.05))
         assert q.shape == (3, 4)
 
@@ -165,66 +167,66 @@ class TestComputeBatchCodes:
 class TestSwappedLoss:
     def make(self, seed, b=6, k=5, d=8):
         rng = np.random.default_rng(seed)
-        bank = random_bank(rng, k, d)
+        prototypes = random_prototypes(rng, k, d)
         z1 = Tensor(unit_rows(rng, b, d))
         z2 = Tensor(unit_rows(rng, b, d))
         cfg = LossConfig(temperature=0.1, sinkhorn=converged_config(0.05),
                          queue_length=32)
-        return z1, z2, bank, cfg
+        return z1, z2, prototypes, cfg
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_swap_symmetry(self, seed):
-        z1, z2, bank, cfg = self.make(seed)
-        a = swapped_loss(z1, z2, bank, None, cfg)
-        b = swapped_loss(z2, z1, bank, None, cfg)
+        z1, z2, prototypes, cfg = self.make(seed)
+        a = swapped_loss(z1, z2, prototypes, None, cfg)
+        b = swapped_loss(z2, z1, prototypes, None, cfg)
         assert abs(float(a.data[0, 0]) - float(b.data[0, 0])) < 1e-12
 
     def test_identical_views_low_loss(self):
         """Perfectly aligned sharp views cost less than misaligned ones."""
-        z1, z2, bank, cfg = self.make(7)
-        aligned = swapped_loss(z1, z1, bank, None, cfg)
-        crossed = swapped_loss(z1, z2, bank, None, cfg)
+        z1, z2, prototypes, cfg = self.make(7)
+        aligned = swapped_loss(z1, z1, prototypes, None, cfg)
+        crossed = swapped_loss(z1, z2, prototypes, None, cfg)
         assert float(aligned.data[0, 0]) < float(crossed.data[0, 0])
 
     def test_shape_mismatch(self):
-        z1, z2, bank, cfg = self.make(8)
+        z1, z2, prototypes, cfg = self.make(8)
         with pytest.raises(UsageError):
-            swapped_loss(z1, Tensor(z2.data[:3]), bank, None, cfg)
+            swapped_loss(z1, Tensor(z2.data[:3]), prototypes, None, cfg)
 
     def test_empty_batch(self):
-        z1, z2, bank, cfg = self.make(9)
+        z1, z2, prototypes, cfg = self.make(9)
         with pytest.raises(UsageError):
             swapped_loss(Tensor(np.zeros((0, 8))), Tensor(np.zeros((0, 8))),
-                         bank, None, cfg)
+                         prototypes, None, cfg)
 
     def test_single_sample_warns(self):
-        z1, z2, bank, cfg = self.make(10, b=1)
+        z1, z2, prototypes, cfg = self.make(10, b=1)
         with pytest.warns(UserWarning):
-            swapped_loss(z1, z2, bank, None, cfg)
+            swapped_loss(z1, z2, prototypes, None, cfg)
 
     def test_no_side_effects(self):
         """Inputs, queue rows included, come back unchanged, and a second
         call gives the same loss bit for bit."""
-        z1, z2, bank, cfg = self.make(11)
+        z1, z2, prototypes, cfg = self.make(11)
         rng = np.random.default_rng(11)
         rows = (unit_rows(rng, 10, 8), unit_rows(rng, 10, 8))
-        inputs = [z1.data, z2.data, bank.c.data, *rows]
+        inputs = [z1.data, z2.data, prototypes.data, *rows]
         before = [a.copy() for a in inputs]
-        first = swapped_loss(z1, z2, bank, rows, cfg)
-        second = swapped_loss(z1, z2, bank, rows, cfg)
+        first = swapped_loss(z1, z2, prototypes, rows, cfg)
+        second = swapped_loss(z1, z2, prototypes, rows, cfg)
         assert first.data[0, 0] == second.data[0, 0]
         for a, b in zip(inputs, before):
             np.testing.assert_array_equal(a, b)
-        assert z1.grad is None and bank.c.grad is None
+        assert z1.grad is None and prototypes.grad is None
 
     def test_frozen_codes_override(self):
-        z1, z2, bank, cfg = self.make(12, b=4, k=3)
+        z1, z2, prototypes, cfg = self.make(12, b=4, k=3)
         q = np.full((4, 3), 1.0 / 3)
-        loss = swapped_loss(z1, z2, bank, None, cfg, codes=(q, q))
+        loss = swapped_loss(z1, z2, prototypes, None, cfg, codes=(q, q))
         # uniform targets: loss = mean of -sum_k (1/3) log p in both terms
-        p1 = log_softmax(z1.data @ bank.c.data.T, 0.1)
-        p2 = log_softmax(z2.data @ bank.c.data.T, 0.1)
+        p1 = log_softmax(z1.data @ prototypes.data.T, 0.1)
+        p2 = log_softmax(z2.data @ prototypes.data.T, 0.1)
         expect = -(q * p1).sum(axis=1).mean() - (q * p2).sum(axis=1).mean()
         assert float(loss.data[0, 0]) == pytest.approx(expect, abs=1e-12)
 
@@ -233,29 +235,26 @@ class TestSwappedLoss:
         rng = np.random.default_rng(13)
         cfg = LossConfig(temperature=0.1, sinkhorn=converged_config(0.05),
                          queue_length=16)
-        encoder, bank = init_model(
-            EncoderConfig((4, 4), (6,), 8), k=3, seed=0)
-        params = {**encoder.parameters(), "prototypes": bank.c}
+        params = init_params(EncoderConfig((4, 4), (6,), 8), k=3, seed=0)
 
         # iteration 1 fills the queue; iteration 2 uses it
-        z1 = embed(encoder, rng.standard_normal((4, 4)), 0)
-        z2 = embed(encoder, rng.standard_normal((4, 4)), 1)
+        z1 = embed(params, rng.standard_normal((4, 4)), 0)
+        z2 = embed(params, rng.standard_normal((4, 4)), 1)
         queue = FeatureQueue(cfg.queue_length, 8)
         queue.push(z1.data, z2.data)
 
         x1, x2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-        loss = swapped_loss(embed(encoder, x1, 0), embed(encoder, x2, 1),
-                            bank, (queue.rows(0), queue.rows(1)), cfg)
+        loss = swapped_loss(embed(params, x1, 0), embed(params, x2, 1),
+                            params["prototypes"],
+                            (queue.rows(0), queue.rows(1)), cfg)
         grads = backward(loss, params)
 
         # recompute with plain copies of the same rows: gradients must be
         # identical because queue rows are constants
         rows2 = (queue.rows(0)[:4].copy(), queue.rows(1)[:4].copy())
-        encoder2, bank2 = init_model(
-            EncoderConfig((4, 4), (6,), 8), k=3, seed=0)
-        loss2 = swapped_loss(embed(encoder2, x1, 0), embed(encoder2, x2, 1),
-                             bank2, rows2, cfg)
-        grads2 = backward(loss2, {**encoder2.parameters(),
-                                  "prototypes": bank2.c})
+        params2 = init_params(EncoderConfig((4, 4), (6,), 8), k=3, seed=0)
+        loss2 = swapped_loss(embed(params2, x1, 0), embed(params2, x2, 1),
+                             params2["prototypes"], rows2, cfg)
+        grads2 = backward(loss2, params2)
         for name in grads:
             np.testing.assert_allclose(grads[name], grads2[name], atol=1e-12)

@@ -334,9 +334,9 @@ class TestCheckpointFile:
 
     def test_random_init_checkpoint_probe_ready(self):
         ckpt = random_init_checkpoint(tiny_config())
-        encoder, bank, queue = model_from_checkpoint(ckpt)
-        assert bank.n_prototypes == 4
-        assert queue.fill == 0
+        params = model_from_checkpoint(ckpt)
+        assert params["prototypes"].shape[0] == 4
+        assert ckpt.queue_fill == 0
         assert ckpt.iteration == 0
 
 
