@@ -22,7 +22,7 @@ from .errors import Error, FormatError, NumericalError, UsageError
 from .evaluation import cluster_agreement, knn_probe, linear_probe
 from .gradcheck import TOLERANCE, run_suite
 from .sinkhorn import SinkhornConfig, compute_codes, converged_config
-from .trainer import (TrainConfig, config_from_dict, config_from_text,
+from .trainer import (TrainConfig, config_entries, config_from_dict,
                       config_to_text, load_checkpoint, save_checkpoint, train)
 
 EXIT_OK = 0
@@ -132,12 +132,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flags_to_config(args) -> tuple[TrainConfig, dict]:
-    """Resolve defaults < --config file < inline flags; returns the config
-    and the set of inline overrides for the manifest."""
-    base = None
+def _flags_to_config(args) -> tuple[TrainConfig, dict, dict]:
+    """Resolve defaults < --config file < inline flags; returns the config,
+    the inline overrides for the manifest and the config file's entries."""
+    base, entries = None, {}
     if args.config:
-        base = config_from_text(Path(args.config).read_text(errors="replace"))
+        entries = config_entries(
+            Path(args.config).read_text(errors="replace"))
+        base = config_from_dict(entries)
     overrides = {}
     flag_map = {
         "epochs": "epochs", "batch_size": "batch_size", "lr": "base_lr",
@@ -151,7 +153,7 @@ def _flags_to_config(args) -> tuple[TrainConfig, dict]:
         value = getattr(args, flag)
         if value is not None:
             overrides[key] = str(value)
-    return config_from_dict(overrides, base), overrides
+    return config_from_dict(overrides, base), overrides, entries
 
 
 def _cmd_gen_data(args) -> int:
@@ -171,7 +173,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config, overrides = _flags_to_config(args)
+    config, overrides, entries = _flags_to_config(args)
     if args.resume and (args.config or overrides):
         raise UsageError("--resume takes its config from the checkpoint; "
                          "drop --config and the config flags")
@@ -189,11 +191,17 @@ def _cmd_pretrain(args) -> int:
             metrics_file.write(json.dumps(record.to_dict()) + "\n")
 
     # adopt the corpus dimensionality unless explicitly configured
-    d1, d2 = corpus.modality1.shape[1], corpus.modality2.shape[1]
-    if config.encoder.input_dims != (d1, d2):
+    dims = (corpus.modality1.shape[1], corpus.modality2.shape[1])
+    clash = [f"{key}={width} but the corpus has {want}"
+             for key, width, want in zip(("encoder.d1", "encoder.d2"),
+                                         config.encoder.input_dims, dims)
+             if key in entries and width != want]
+    if clash:
+        raise UsageError(f"--config sets {'; '.join(clash)}")
+    if config.encoder.input_dims != dims:
         from dataclasses import replace
         config = replace(config, encoder=replace(
-            config.encoder, input_dims=(d1, d2)))
+            config.encoder, input_dims=dims))
 
     try:
         ckpt, metrics = train(corpus, config, resume_from=resume,

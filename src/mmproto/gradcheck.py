@@ -97,12 +97,12 @@ def _full_loss_check(name: str, seed: int, use_queue: bool,
 
     # freeze codes at the base point: the gradient treats them as constants
     raw = {key: t.data for key, t in params.items()}
-    q1 = compute_batch_codes(embed(params, x1, 0).data, raw["prototypes"],
-                             rows[0], loss_cfg.sinkhorn)
-    q2 = compute_batch_codes(embed(params, x2, 1).data, raw["prototypes"],
-                             rows[1], loss_cfg.sinkhorn)
+    q1, _ = compute_batch_codes(embed(params, x1, 0).data,
+                                raw["prototypes"], rows[0], loss_cfg.sinkhorn)
+    q2, _ = compute_batch_codes(embed(params, x2, 1).data,
+                                raw["prototypes"], rows[1], loss_cfg.sinkhorn)
     return _check(
         name, lambda p: swapped_loss(embed(p, x1, 0), embed(p, x2, 1),
                                      p["prototypes"], None, loss_cfg,
-                                     codes=(q1, q2)),
+                                     codes=(q1, q2))[0],
         raw, perturb)

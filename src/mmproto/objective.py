@@ -5,7 +5,8 @@ gradient flows through code estimation); the differentiable part is the
 temperature-scaled softmax over prototype scores. Rows of a per-modality
 feature queue, which the trainer fills, can widen the sample pool that code
 estimation sees, since the batch is usually much smaller than the number of
-prototypes. The loss itself has no side effects.
+prototypes; the potentials of earlier code solves, which the trainer also
+keeps, can start the solves. The loss itself has no side effects.
 """
 from __future__ import annotations
 
@@ -70,32 +71,42 @@ class FeatureQueue:
 
 def compute_batch_codes(z: np.ndarray, prototypes: np.ndarray,
                         queue_rows: np.ndarray | None,
-                        config: SinkhornConfig) -> np.ndarray:
-    """Sinkhorn codes for the current batch, as B x K probability rows.
+                        config: SinkhornConfig,
+                        start: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sinkhorn codes for the current batch, as B x K probability rows, and
+    the solve's final prototype potentials (None unless converged mode).
 
     Queue rows are appended as extra columns for code estimation only; just
-    the batch columns are kept, each rescaled to sum 1.
+    the batch columns are kept, each rescaled to sum 1. `start` is passed
+    on to `compute_codes`.
     """
     cols = z
     if queue_rows is not None and len(queue_rows):
         cols = np.vstack([z, queue_rows])
     scores = prototypes @ cols.T  # K x (B + queue)
-    q = compute_codes(scores, config).q[:, :z.shape[0]]
+    codes = compute_codes(scores, config, start=start)
+    q = codes.q[:, :z.shape[0]]
     q = q / q.sum(axis=0, keepdims=True)
-    return q.T
+    return q.T, codes.u
 
 
 def swapped_loss(z1: Tensor, z2: Tensor, prototypes: Tensor,
                  queue_rows: tuple[np.ndarray, np.ndarray] | None,
                  config: LossConfig,
-                 codes: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+                 codes: tuple[np.ndarray, np.ndarray] | None = None,
+                 start: tuple[np.ndarray, np.ndarray] | None = None
+                 ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray] | None]:
     """Cross-entropy of each view's assignment against the other view's code.
 
-    Returns a scalar Tensor (mean over the batch of both swapped terms).
-    `queue_rows`, a (modality 1, modality 2) pair of past embeddings or
-    None, widens each view's code estimation. Codes are constants for the
-    gradient; `codes` overrides their computation, which finite-difference
-    checks use to freeze the targets. Nothing passed in is modified.
+    Returns a scalar Tensor (mean over the batch of both swapped terms) and
+    the (modality 1, modality 2) prototype potentials of the two code
+    solves, or None unless both solves ran in converged mode. `queue_rows`,
+    a (modality 1, modality 2) pair of past embeddings or None, widens each
+    view's code estimation; `start`, such a pair of potentials, starts each
+    view's solve. Codes are constants for the gradient; `codes` overrides
+    their computation, which finite-difference checks use to freeze the
+    targets. Nothing passed in is modified.
     """
     if z1.shape != z2.shape:
         raise UsageError(f"view shapes differ: {z1.shape} vs {z2.shape}")
@@ -109,15 +120,22 @@ def swapped_loss(z1: Tensor, z2: Tensor, prototypes: Tensor,
             warnings.warn("batch of 1 with no queue: codes are uninformative",
                           stacklevel=2)
 
+    potentials = None
     if codes is None:
         c = prototypes.data
-        q1 = compute_batch_codes(z1.data, c, queue_rows[0], config.sinkhorn)
-        q2 = compute_batch_codes(z2.data, c, queue_rows[1], config.sinkhorn)
+        start1, start2 = (None, None) if start is None else start
+        q1, u1 = compute_batch_codes(z1.data, c, queue_rows[0],
+                                     config.sinkhorn, start1)
+        q2, u2 = compute_batch_codes(z2.data, c, queue_rows[1],
+                                     config.sinkhorn, start2)
+        if u1 is not None and u2 is not None:
+            potentials = (u1, u2)
     else:
         q1, q2 = codes
 
     tau = config.temperature
     logp1 = prototype_scores(z1, prototypes).T.log_softmax_rows(tau)
     logp2 = prototype_scores(z2, prototypes).T.log_softmax_rows(tau)
-    return -((Tensor(q2) * logp1).sum()
+    loss = -((Tensor(q2) * logp1).sum()
              + (Tensor(q1) * logp2).sum()) * (1.0 / b)
+    return loss, potentials

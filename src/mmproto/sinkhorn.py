@@ -42,9 +42,18 @@ def converged_config(epsilon: float) -> SinkhornConfig:
 
 @dataclass
 class CodeMatrix:
-    """Soft assignment Q (K x B) with equipartition marginals."""
+    """Soft assignment Q (K x B) with equipartition marginals.
+
+    A converged-mode solve also reports its final prototype potentials `u`
+    (log row scalings, length K), which can start a later solve, the Newton
+    steps it took, and whether its marginal residual reached the tolerance.
+    Fixed-sweep codes carry no potentials and report `converged` False.
+    """
 
     q: np.ndarray
+    u: np.ndarray | None = None
+    newton_steps: int = 0
+    converged: bool = False
 
     def marginal_deviation(self) -> tuple[float, float]:
         """(max row-sum deviation from 1/K, max col-sum deviation from 1/B)."""
@@ -54,7 +63,8 @@ class CodeMatrix:
         return row, col
 
 
-def compute_codes(scores, config: SinkhornConfig) -> CodeMatrix:
+def compute_codes(scores, config: SinkhornConfig,
+                  start: np.ndarray | None = None) -> CodeMatrix:
     """Scale exp(scores / epsilon) onto the equipartition polytope.
 
     With convergence_tolerance == 0 this runs exactly `n_iterations`
@@ -63,19 +73,24 @@ def compute_codes(scores, config: SinkhornConfig) -> CodeMatrix:
     tolerance it solves for the fixed point directly: plain sweeps crawl
     for sharp kernels (small epsilon), so the converged path switches to a
     damped Newton iteration on the log-domain scaling potentials, which
-    reaches the same fixed point in a handful of steps. A single row or
-    column leaves one feasible Q: every entry 1/(K B).
+    reaches the same fixed point in a handful of steps. `start`, the
+    potentials `u` of an earlier converged solve over the same K
+    prototypes, replaces its cold entry sweeps (the fixed-sweep mode
+    ignores it). A single row or column leaves one feasible Q: every entry
+    1/(K B).
     """
     scores = as_matrix(scores)
     if not np.isfinite(scores).all():
         raise NumericalError("scores contain NaN or Inf")
     k, b = scores.shape
+    if start is not None and np.shape(start) != (k,):
+        raise UsageError(f"start potentials {np.shape(start)} for {k} rows")
     tol = config.convergence_tolerance
     if min(k, b) == 1:
-        return CodeMatrix(np.full((k, b), 1.0 / (k * b)))
+        return CodeMatrix(np.full((k, b), 1.0 / (k * b)), converged=True)
     if tol > 0.0:
-        return CodeMatrix(_converged_solve(scores / config.epsilon, tol,
-                                           config.n_iterations))
+        return _converged_solve(scores / config.epsilon, tol,
+                                config.n_iterations, start)
 
     s = scores / config.epsilon
     q = np.exp(s - s.max())  # global max subtraction: no overflow
@@ -97,31 +112,41 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _converged_solve(log_kernel: np.ndarray, tol: float,
-                     max_iterations: int) -> np.ndarray:
+def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
+                     start: np.ndarray | None) -> CodeMatrix:
     """Fixed point of Diag(lambda) exp(log_kernel) Diag(mu) with uniform
-    marginals, via log-domain sweeps plus Newton steps on the potentials."""
+    marginals, via Newton steps on the potentials. A cold solve enters with
+    log-domain sweeps from u = v = 0; a warm one centres `start` as u and
+    fits v to it with one column half-sweep (Thornton & Cuturi,
+    arXiv:2206.07630)."""
     k, b = log_kernel.shape
     log_r, log_c = -np.log(k), -np.log(b)
-    u = np.zeros(k)
-    v = np.zeros(b)
+
+    def column_sweep(u):
+        return log_c - _logsumexp(log_kernel + u[:, None], axis=0)
 
     def sweep(u, v):
         u = log_r - _logsumexp(log_kernel + v[None, :], axis=1)
-        v = log_c - _logsumexp(log_kernel + u[:, None], axis=0)
-        return u, v
+        return u, column_sweep(u)
 
-    for _ in range(5):  # enter the region where exp() is bounded
-        u, v = sweep(u, v)
+    if start is None:
+        u, v = np.zeros(k), np.zeros(b)
+        for _ in range(5):  # enter the region where exp() is bounded
+            u, v = sweep(u, v)
+    else:
+        u = start - start.mean()
+        v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
 
     r = np.full(k, 1.0 / k)
     c = np.full(b, 1.0 / b)
     m = np.exp(log_kernel + u[:, None] + v[None, :])
     row, col = m.sum(axis=1), m.sum(axis=0)
-    for _ in range(max_iterations):
+    steps = 0
+    while True:
         residual = max(np.abs(row - r).max(), np.abs(col - c).max())
-        if residual < tol:
-            return m
+        if residual < tol or steps == max_iterations:
+            return CodeMatrix(m, u, steps, bool(residual < tol))
+        steps += 1
         du, dv = _newton_step(m, row, col, row - r, (col - c)[:-1])
 
         t = 1.0
@@ -141,7 +166,6 @@ def _converged_solve(log_kernel: np.ndarray, tol: float,
             u, v = sweep(u, v)
             m = np.exp(log_kernel + u[:, None] + v[None, :])
             row, col = m.sum(axis=1), m.sum(axis=0)
-    return m
 
 
 def _newton_step(m, row, col, g_u, g_v):
@@ -172,27 +196,3 @@ def _solve(h, rhs):
         return np.linalg.solve(h, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(h, rhs, rcond=None)[0]
-
-
-def entropy(q: CodeMatrix | np.ndarray) -> float:
-    """Shannon entropy -sum(q log q) with 0 log 0 := 0."""
-    m = q.q if isinstance(q, CodeMatrix) else as_matrix(q)
-    if (m < 0).any():
-        raise UsageError("entropy requires non-negative entries")
-    nz = m[m > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def transport_objective(scores, q: CodeMatrix | np.ndarray,
-                        epsilon: float) -> float:
-    """Score alignment plus entropy bonus: Tr(Q^T scores) + eps * H(Q).
-
-    Test oracle only: the converged code should not be improvable by small
-    feasible perturbations.
-    """
-    scores = as_matrix(scores)
-    m = q.q if isinstance(q, CodeMatrix) else as_matrix(q)
-    if scores.shape != m.shape:
-        raise UsageError(
-            f"scores {scores.shape} vs codes {m.shape}")
-    return float((m * scores).sum()) + epsilon * entropy(m)

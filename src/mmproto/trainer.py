@@ -5,8 +5,12 @@ loss (with the feature queue's rows once the queue is switched on), push the
 batch into the queue, backprop through the tape, update with momentum SGD,
 and pull the prototypes back onto the unit sphere. Prototype gradients are
 zeroed for an initial freeze window so the codes stabilize before the
-cluster centers move. Every piece of run state needed to resume bit-exactly
-lives in the checkpoint, including the feature queue and momentum buffers.
+cluster centers move. Once the queue feeds the codes, each converged code
+solve starts from the prototype potentials of the previous step's solve for
+its modality: consecutive problems then share all but one batch of their
+columns. Every piece of run state needed to resume bit-exactly lives in the
+checkpoint, including the feature queue, the potentials and the momentum
+buffers.
 """
 from __future__ import annotations
 
@@ -24,7 +28,9 @@ from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+#: the per-modality prototype potentials, written only when a run holds them
+POTENTIALS = ("potentials.m1", "potentials.m2")
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,7 @@ class Checkpoint:
     queue_m2: np.ndarray
     queue_fill: int
     queue_cursor: int
+    potentials: tuple[np.ndarray, np.ndarray] | None  # None: next start cold
 
 
 # ---- canonical config text ----------------------------------------------
@@ -110,6 +117,11 @@ def config_to_text(cfg: TrainConfig) -> str:
 
 
 def config_from_text(text: str) -> TrainConfig:
+    return config_from_dict(config_entries(text))
+
+
+def config_entries(text: str) -> dict:
+    """The key=value lines of a config text, as strings by key."""
     kv = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -119,7 +131,7 @@ def config_from_text(text: str) -> TrainConfig:
             raise UsageError(f"config line {lineno} is not key=value: {line!r}")
         key, value = line.split("=", 1)
         kv[key.strip()] = value.strip()
-    return config_from_dict(kv)
+    return kv
 
 
 def config_from_dict(kv: dict, base: TrainConfig | None = None
@@ -193,7 +205,8 @@ def _build(cfg: TrainConfig) -> tuple[dict, FeatureQueue]:
 
 
 def _snapshot(config: TrainConfig, params: dict, velocity: dict,
-              iteration: int, queue: FeatureQueue) -> Checkpoint:
+              iteration: int, queue: FeatureQueue,
+              potentials: tuple | None) -> Checkpoint:
     """Copy the run state into a checkpoint."""
     return Checkpoint(
         version=CHECKPOINT_VERSION, config=config,
@@ -201,12 +214,14 @@ def _snapshot(config: TrainConfig, params: dict, velocity: dict,
         momentum_buffers={name: v.copy() for name, v in velocity.items()},
         iteration=iteration,
         queue_m1=queue.buffers[0].copy(), queue_m2=queue.buffers[1].copy(),
-        queue_fill=queue.fill, queue_cursor=queue.cursor)
+        queue_fill=queue.fill, queue_cursor=queue.cursor,
+        potentials=potentials)  # never modified in place: no copy needed
 
 
 def _restore(ckpt: Checkpoint, params: dict, velocity: dict,
-             queue: FeatureQueue) -> int:
-    """Copy a checkpoint into the run state; returns its iteration."""
+             queue: FeatureQueue) -> tuple[int, tuple | None]:
+    """Copy a checkpoint into the run state; returns its iteration and
+    potentials."""
     for name, p in params.items():
         p.data[...] = ckpt.params[name]
     for name, v in velocity.items():
@@ -214,7 +229,7 @@ def _restore(ckpt: Checkpoint, params: dict, velocity: dict,
     queue.buffers[0][...] = ckpt.queue_m1
     queue.buffers[1][...] = ckpt.queue_m2
     queue.fill, queue.cursor = ckpt.queue_fill, ckpt.queue_cursor
-    return ckpt.iteration
+    return ckpt.iteration, ckpt.potentials
 
 
 def train(corpus: PairedCorpus, config: TrainConfig,
@@ -231,6 +246,8 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     """
     if corpus.n_samples == 0:
         raise UsageError("corpus is empty")
+    if stop_after is not None and stop_after < 0:
+        raise UsageError(f"stop_after must be >= 0, got {stop_after}")
     steps_per_epoch = n_batches(corpus.n_samples, config.batch_size)
     if steps_per_epoch == 0:
         raise UsageError("batch_size leaves no usable batches")
@@ -241,11 +258,12 @@ def train(corpus: PairedCorpus, config: TrainConfig,
 
     params, queue = _build(config)
     velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-    iteration = 0
+    iteration, potentials = 0, None
     if resume_from is not None:
         if resume_from.config != config:
             raise UsageError("resume config differs from checkpoint config")
-        iteration = _restore(resume_from, params, velocity, queue)
+        iteration, potentials = _restore(resume_from, params, velocity,
+                                         queue)
 
     metrics: list[MetricsRecord] = []
 
@@ -262,13 +280,19 @@ def train(corpus: PairedCorpus, config: TrainConfig,
             rows = ((queue.rows(0), queue.rows(1))
                     if iteration >= queue_start and queue.fill else None)
             try:
-                loss_t = swapped_loss(z1, z2, params["prototypes"], rows,
-                                      config.loss)
+                # warm-start only problems that share columns with the
+                # previous one: a batch-only solve converges cold in its
+                # entry sweeps while the prototypes are frozen at random
+                loss_t, solved = swapped_loss(
+                    z1, z2, params["prototypes"], rows, config.loss,
+                    start=None if rows is None else potentials)
             except NumericalError:
                 # non-finite embeddings or prototypes poison the solver
                 raise NumericalAbort(iteration, batch.sample_indices,
                                      float("nan")) from None
             queue.push(z1.data, z2.data)
+            if rows is not None:
+                potentials = solved
             loss_val = float(loss_t.data[0, 0])
             if not np.isfinite(loss_val):
                 raise NumericalAbort(iteration, batch.sample_indices, loss_val)
@@ -296,15 +320,16 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                 metrics_sink(record)
             iteration += 1
 
-    return _snapshot(config, params, velocity, iteration, queue), metrics
+    return (_snapshot(config, params, velocity, iteration, queue,
+                      potentials), metrics)
 
 
 def _code_usage_entropy(z1: np.ndarray, z2: np.ndarray,
                         prototypes: np.ndarray, loss_cfg: LossConfig) -> float:
     """Entropy of the batch-mean code distribution over prototypes."""
     from .objective import compute_batch_codes
-    q1 = compute_batch_codes(z1, prototypes, None, loss_cfg.sinkhorn)
-    q2 = compute_batch_codes(z2, prototypes, None, loss_cfg.sinkhorn)
+    q1, _ = compute_batch_codes(z1, prototypes, None, loss_cfg.sinkhorn)
+    q2, _ = compute_batch_codes(z2, prototypes, None, loss_cfg.sinkhorn)
     mean = np.concatenate([q1, q2]).mean(axis=0)
     nz = mean[mean > 0]
     return float(-(nz * np.log(nz)).sum())
@@ -319,7 +344,7 @@ def random_init_checkpoint(config: TrainConfig) -> Checkpoint:
     """Checkpoint of a freshly initialized (untrained) model."""
     params, queue = _build(config)
     velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-    return _snapshot(config, params, velocity, 0, queue)
+    return _snapshot(config, params, velocity, 0, queue, None)
 
 
 # ---- checkpoint serialization -------------------------------------------
@@ -337,10 +362,12 @@ def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     tensors = [(f"param.{n}", ckpt.params[n]) for n in sorted(ckpt.params)]
     tensors += [(f"mom.{n}", ckpt.momentum_buffers[n])
                 for n in sorted(ckpt.momentum_buffers)]
+    tensors += [("queue.m1", ckpt.queue_m1), ("queue.m2", ckpt.queue_m2)]
+    if ckpt.potentials is not None:
+        tensors += zip(POTENTIALS, ckpt.potentials)
     state = np.array([float(ckpt.iteration), float(ckpt.queue_fill),
                       float(ckpt.queue_cursor)])
-    return tensors + [("queue.m1", ckpt.queue_m1), ("queue.m2", ckpt.queue_m2),
-                      ("state", state)]
+    return tensors + [("state", state)]
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -359,7 +386,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed byte is a `FormatError` naming its
     offset or tensor. Tensor names and shapes must be those of the model
-    that the embedded config builds, and every value must be finite."""
+    that the embedded config builds, and every value must be finite. The
+    two potential tensors are optional, but only together."""
     with open(path, "rb") as f:
         blob = f.read()
     offset = 0
@@ -389,6 +417,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = config_from_text(cfg_text.decode("utf-8"))
         shapes = {name: arr.shape for name, arr
                   in _tensors(random_init_checkpoint(config))}
+        shapes.update((name, (config.k_prototypes,)) for name in POTENTIALS)
     except (UnicodeDecodeError, UsageError) as exc:
         raise FormatError(f"bad config text at offset 12: {exc}") from None
     count = take_u32("tensor count")
@@ -421,6 +450,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(
             f"{len(blob) - offset} trailing bytes at offset {offset}")
     missing = shapes.keys() - tensors.keys()
+    if set(POTENTIALS) <= missing:
+        missing -= set(POTENTIALS)  # a run that holds no potentials yet
     if missing:
         raise FormatError(f"missing tensors: {', '.join(sorted(missing))}")
 
@@ -438,4 +469,6 @@ def load_checkpoint(path) -> Checkpoint:
         version=version, config=config, params=params,
         momentum_buffers=moms, iteration=int(iteration),
         queue_m1=tensors["queue.m1"], queue_m2=tensors["queue.m2"],
-        queue_fill=int(fill), queue_cursor=int(cursor))
+        queue_fill=int(fill), queue_cursor=int(cursor),
+        potentials=None if POTENTIALS[0] not in tensors else tuple(
+            tensors[name] for name in POTENTIALS))

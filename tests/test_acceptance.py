@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from mmproto.data import CorpusSpec, generate, load_corpus, save_corpus
+from mmproto.data import (CorpusSpec, generate, load_corpus, n_batches,
+                          save_corpus)
 from mmproto.evaluation import cluster_agreement, linear_probe
 from mmproto.gradcheck import run_suite
 from mmproto.model import EncoderConfig
@@ -110,7 +111,8 @@ def test_criterion_4_collapse_avoidance(k16_run):
 
 def test_criterion_5_learning_signal(k16_run):
     _, metrics, _ = k16_run
-    per_epoch = 62  # 2000 samples, batch 32
+    per_epoch = n_batches(STANDARD_CORPUS.n_samples,
+                          reference_config(16).batch_size)
     first = float(np.mean([m.loss for m in metrics[:per_epoch]]))
     last = float(np.mean([m.loss for m in metrics[-per_epoch:]]))
     assert last <= 0.7 * first, (f"final-epoch mean {last:.4f} > 0.7 x "
@@ -153,9 +155,9 @@ def test_criterion_7_modality_swap_symmetry():
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         prototypes = Tensor(c)
         fwd = float(swapped_loss(Tensor(z1), Tensor(z2), prototypes, None,
-                                 cfg).data[0, 0])
+                                 cfg)[0].data[0, 0])
         rev = float(swapped_loss(Tensor(z2), Tensor(z1), prototypes, None,
-                                 cfg).data[0, 0])
+                                 cfg)[0].data[0, 0])
         assert abs(fwd - rev) < 1e-12
 
 
@@ -195,6 +197,13 @@ def test_criterion_8_bit_exact_reproducibility(tmp_path, standard_corpus):
     assert r_path.read_bytes() == a_path.read_bytes()
     assert ([m.loss for m in resumed_metrics]
             == [m.loss for m in metrics_a[8:]])
+
+    # ... and so does a resume through a checkpoint file
+    mid_path = tmp_path / "mid.ckpt"
+    save_checkpoint(mid, mid_path)
+    resumed, _ = train(corpus, cfg, resume_from=load_checkpoint(mid_path))
+    save_checkpoint(resumed, r_path)
+    assert r_path.read_bytes() == a_path.read_bytes()
 
     # checkpoint file round-trip is bit-exact
     reloaded_path = tmp_path / "reload.ckpt"

@@ -244,6 +244,15 @@ class TestExitCodes:
         ({}, "probe --ckpt {ckpt} --data {corpus} --probe cluster "
              "--modality both",
          EXIT_USAGE, "usage error: the cluster probe takes modality m1 or m2"),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --stop-after -3",
+         EXIT_USAGE, "usage error: stop_after must be >= 0, got -3"),
+        ({"train.cfg": "encoder.d1=20\nencoder.d2=8\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE,
+         "usage error: --config sets encoder.d1=20 but the corpus has 8"),
+        ({"v1.ckpt": "MMCK\x01\x00\x00\x00"},
+         "probe --ckpt {tmp}/v1.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: unsupported checkpoint version 1 at offset 4"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,

@@ -106,8 +106,8 @@ class TestCrossEntropyTerm:
         prototypes = Tensor(np.repeat(c, 3, axis=0))  # equal scores
         z = Tensor(unit_rows(rng, 2, 4))
         q = np.full((2, 3), 1.0 / 3)
-        loss = swapped_loss(z, z, prototypes, None, LossConfig(),
-                            codes=(q, q))
+        loss, _ = swapped_loss(z, z, prototypes, None, LossConfig(),
+                               codes=(q, q))
         assert float(loss.data[0, 0]) == pytest.approx(2 * np.log(3))
 
     def test_one_hot_target_picks_log_prob(self):
@@ -115,8 +115,8 @@ class TestCrossEntropyTerm:
         prototypes = random_prototypes(rng, 3, 4)
         z1, z2 = unit_rows(rng, 2, 4), unit_rows(rng, 2, 4)
         q1, q2 = np.eye(3)[[0, 2]], np.eye(3)[[1, 1]]
-        loss = swapped_loss(Tensor(z1), Tensor(z2), prototypes, None,
-                            LossConfig(temperature=0.1), codes=(q1, q2))
+        loss, _ = swapped_loss(Tensor(z1), Tensor(z2), prototypes, None,
+                               LossConfig(temperature=0.1), codes=(q1, q2))
         logp1 = log_softmax(z1 @ prototypes.data.T, 0.1)
         logp2 = log_softmax(z2 @ prototypes.data.T, 0.1)
         expect = -(logp1[0, 1] + logp1[1, 1] + logp2[0, 0] + logp2[1, 2]) / 2
@@ -128,8 +128,8 @@ class TestCrossEntropyTerm:
         prototypes = Tensor([[1.0, 0.0], [-1.0, 0.0]])
         z = Tensor([[1.0, 0.0], [1.0, 0.0]])
         q = np.array([[0.0, 1.0], [0.0, 1.0]])
-        loss = swapped_loss(z, z, prototypes, None,
-                            LossConfig(temperature=0.001), codes=(q, q))
+        loss, _ = swapped_loss(z, z, prototypes, None,
+                               LossConfig(temperature=0.001), codes=(q, q))
         assert np.exp(-2000.0) == 0.0
         assert float(loss.data[0, 0]) == pytest.approx(4000.0)
 
@@ -138,8 +138,8 @@ class TestComputeBatchCodes:
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(2)
         prototypes = unit_rows(rng, 5, 8)
-        q = compute_batch_codes(unit_rows(rng, 6, 8), prototypes, None,
-                                converged_config(0.05))
+        q, _ = compute_batch_codes(unit_rows(rng, 6, 8), prototypes, None,
+                                   converged_config(0.05))
         assert q.shape == (6, 5)
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
         assert (q >= 0).all()
@@ -149,18 +149,18 @@ class TestComputeBatchCodes:
         prototypes = unit_rows(rng, 4, 8)
         z = unit_rows(rng, 5, 8)
         extra = unit_rows(rng, 16, 8)
-        plain = compute_batch_codes(z, prototypes, None,
-                                    converged_config(0.05))
-        with_queue = compute_batch_codes(z, prototypes, extra,
-                                         converged_config(0.05))
+        plain, _ = compute_batch_codes(z, prototypes, None,
+                                       converged_config(0.05))
+        with_queue, _ = compute_batch_codes(z, prototypes, extra,
+                                            converged_config(0.05))
         assert np.abs(plain - with_queue).max() > 1e-6
 
     def test_batch_columns_only(self):
         rng = np.random.default_rng(4)
         prototypes = unit_rows(rng, 4, 8)
         z = unit_rows(rng, 3, 8)
-        q = compute_batch_codes(z, prototypes, unit_rows(rng, 10, 8),
-                                converged_config(0.05))
+        q, _ = compute_batch_codes(z, prototypes, unit_rows(rng, 10, 8),
+                                   converged_config(0.05))
         assert q.shape == (3, 4)
 
 
@@ -178,15 +178,15 @@ class TestSwappedLoss:
     @settings(max_examples=40, deadline=None)
     def test_swap_symmetry(self, seed):
         z1, z2, prototypes, cfg = self.make(seed)
-        a = swapped_loss(z1, z2, prototypes, None, cfg)
-        b = swapped_loss(z2, z1, prototypes, None, cfg)
+        a, _ = swapped_loss(z1, z2, prototypes, None, cfg)
+        b, _ = swapped_loss(z2, z1, prototypes, None, cfg)
         assert abs(float(a.data[0, 0]) - float(b.data[0, 0])) < 1e-12
 
     def test_identical_views_low_loss(self):
         """Perfectly aligned sharp views cost less than misaligned ones."""
         z1, z2, prototypes, cfg = self.make(7)
-        aligned = swapped_loss(z1, z1, prototypes, None, cfg)
-        crossed = swapped_loss(z1, z2, prototypes, None, cfg)
+        aligned, _ = swapped_loss(z1, z1, prototypes, None, cfg)
+        crossed, _ = swapped_loss(z1, z2, prototypes, None, cfg)
         assert float(aligned.data[0, 0]) < float(crossed.data[0, 0])
 
     def test_shape_mismatch(self):
@@ -213,8 +213,8 @@ class TestSwappedLoss:
         rows = (unit_rows(rng, 10, 8), unit_rows(rng, 10, 8))
         inputs = [z1.data, z2.data, prototypes.data, *rows]
         before = [a.copy() for a in inputs]
-        first = swapped_loss(z1, z2, prototypes, rows, cfg)
-        second = swapped_loss(z1, z2, prototypes, rows, cfg)
+        first, _ = swapped_loss(z1, z2, prototypes, rows, cfg)
+        second, _ = swapped_loss(z1, z2, prototypes, rows, cfg)
         assert first.data[0, 0] == second.data[0, 0]
         for a, b in zip(inputs, before):
             np.testing.assert_array_equal(a, b)
@@ -223,7 +223,7 @@ class TestSwappedLoss:
     def test_frozen_codes_override(self):
         z1, z2, prototypes, cfg = self.make(12, b=4, k=3)
         q = np.full((4, 3), 1.0 / 3)
-        loss = swapped_loss(z1, z2, prototypes, None, cfg, codes=(q, q))
+        loss, _ = swapped_loss(z1, z2, prototypes, None, cfg, codes=(q, q))
         # uniform targets: loss = mean of -sum_k (1/3) log p in both terms
         p1 = log_softmax(z1.data @ prototypes.data.T, 0.1)
         p2 = log_softmax(z2.data @ prototypes.data.T, 0.1)
@@ -244,17 +244,17 @@ class TestSwappedLoss:
         queue.push(z1.data, z2.data)
 
         x1, x2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
-        loss = swapped_loss(embed(params, x1, 0), embed(params, x2, 1),
-                            params["prototypes"],
-                            (queue.rows(0), queue.rows(1)), cfg)
+        loss, _ = swapped_loss(embed(params, x1, 0), embed(params, x2, 1),
+                               params["prototypes"],
+                               (queue.rows(0), queue.rows(1)), cfg)
         grads = backward(loss, params)
 
         # recompute with plain copies of the same rows: gradients must be
         # identical because queue rows are constants
         rows2 = (queue.rows(0)[:4].copy(), queue.rows(1)[:4].copy())
         params2 = init_params(EncoderConfig((4, 4), (6,), 8), k=3, seed=0)
-        loss2 = swapped_loss(embed(params2, x1, 0), embed(params2, x2, 1),
-                             params2["prototypes"], rows2, cfg)
+        loss2, _ = swapped_loss(embed(params2, x1, 0), embed(params2, x2, 1),
+                                params2["prototypes"], rows2, cfg)
         grads2 = backward(loss2, params2)
         for name in grads:
             np.testing.assert_allclose(grads[name], grads2[name], atol=1e-12)

@@ -7,15 +7,39 @@ from hypothesis import strategies as st
 
 from mmproto import sinkhorn
 from mmproto.errors import NumericalError, UsageError
+from mmproto.numerics import as_matrix
 from mmproto.sinkhorn import (CodeMatrix, SinkhornConfig,
-                              compute_codes, converged_config, entropy,
-                              transport_objective)
+                              compute_codes, converged_config)
 
 EPS = 0.05
 
 
 def random_scores(rng, k, b):
     return rng.uniform(-1.0, 1.0, size=(k, b))
+
+
+def entropy(q: CodeMatrix | np.ndarray) -> float:
+    """Shannon entropy -sum(q log q) with 0 log 0 := 0."""
+    m = q.q if isinstance(q, CodeMatrix) else as_matrix(q)
+    if (m < 0).any():
+        raise UsageError("entropy requires non-negative entries")
+    nz = m[m > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def transport_objective(scores, q: CodeMatrix | np.ndarray,
+                        epsilon: float) -> float:
+    """Score alignment plus entropy bonus: Tr(Q^T scores) + eps * H(Q).
+
+    The converged code should not be improvable by small feasible
+    perturbations of this objective.
+    """
+    scores = as_matrix(scores)
+    m = q.q if isinstance(q, CodeMatrix) else as_matrix(q)
+    if scores.shape != m.shape:
+        raise UsageError(
+            f"scores {scores.shape} vs codes {m.shape}")
+    return float((m * scores).sum()) + epsilon * entropy(m)
 
 
 class TestConfig:
@@ -173,6 +197,42 @@ class TestNewtonStep:
         assert steps, "the Newton path was not exercised"
         assert max(codes.marginal_deviation()) < 1e-6
         assert peak < 16 * k * b * 8, f"peak {peak / (k * b * 8):.1f} x K*B*8"
+
+
+class TestDiagnostics:
+    def test_warm_start_of_a_perturbed_problem(self):
+        """The potentials of one solve start the solve of a slightly moved
+        problem: it meets the same marginals in fewer Newton steps."""
+        rng = np.random.default_rng(3)
+        scores = random_scores(rng, 16, 288)
+        moved = scores + 0.01 * random_scores(rng, 16, 288)
+        first = compute_codes(scores, converged_config(EPS))
+        cold = compute_codes(moved, converged_config(EPS))
+        warm = compute_codes(moved, converged_config(EPS), start=first.u)
+        assert first.converged and cold.converged and warm.converged
+        row, col = warm.marginal_deviation()
+        assert row < 1e-8 and col < 1e-8
+        assert 0 < warm.newton_steps < cold.newton_steps
+        np.testing.assert_allclose(warm.q, cold.q, atol=1e-8)
+
+    def test_iteration_cap_reported(self):
+        scores = random_scores(np.random.default_rng(4), 6, 9)
+        capped = SinkhornConfig(epsilon=EPS, n_iterations=1,
+                                convergence_tolerance=1e-12)
+        codes = compute_codes(scores, capped)
+        assert codes.newton_steps == 1 and not codes.converged
+        assert compute_codes(scores, converged_config(EPS)).converged
+
+    def test_fixed_sweeps_carry_no_potentials(self):
+        codes = compute_codes(random_scores(np.random.default_rng(5), 4, 5),
+                              SinkhornConfig(), start=np.zeros(4))
+        assert codes.u is None and codes.newton_steps == 0
+        assert not codes.converged
+
+    def test_start_shape_checked(self):
+        with pytest.raises(UsageError, match=r"start potentials \(3,\)"):
+            compute_codes(np.zeros((4, 5)), converged_config(EPS),
+                          start=np.zeros(3))
 
 
 class TestEntropy:

@@ -7,7 +7,7 @@ from mmproto.data import CorpusSpec, generate
 from mmproto.errors import FormatError, NumericalAbort, UsageError
 from mmproto.model import EncoderConfig
 from mmproto.objective import LossConfig
-from mmproto.sinkhorn import SinkhornConfig
+from mmproto.sinkhorn import SinkhornConfig, converged_config
 from mmproto.trainer import (CHECKPOINT_VERSION, Checkpoint, TrainConfig,
                              config_from_text, config_to_text, cosine_lr,
                              epoch_shuffle_seed, load_checkpoint,
@@ -46,6 +46,11 @@ def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
     for name in a.momentum_buffers:
         if not (a.momentum_buffers[name] == b.momentum_buffers[name]).all():
             return False
+    if (a.potentials is None) != (b.potentials is None):
+        return False
+    if a.potentials is not None and not all(
+            (u == w).all() for u, w in zip(a.potentials, b.potentials)):
+        return False
     return ((a.queue_m1 == b.queue_m1).all()
             and (a.queue_m2 == b.queue_m2).all()
             and a.queue_fill == b.queue_fill
@@ -246,14 +251,21 @@ class TestCheckpointFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_resume_from_file(self, tmp_path):
+        """Also in converged mode, stopped before the queue feeds the codes
+        (no potentials yet: the first queued solve starts cold either way)
+        and after (the potentials go through the file)."""
         corpus = tiny_corpus()
-        cfg = tiny_config()
-        full, _ = train(corpus, cfg)
-        mid, _ = train(corpus, cfg, stop_after=5)
-        path = tmp_path / "mid.ckpt"
-        save_checkpoint(mid, path)
-        resumed, _ = train(corpus, cfg, resume_from=load_checkpoint(path))
-        assert checkpoints_equal(full, resumed)
+        converged = tiny_config(loss=dataclasses.replace(
+            tiny_config().loss, sinkhorn=converged_config(0.05)))
+        for cfg, stop in [(tiny_config(), 5), (converged, 5),
+                          (converged, 9)]:
+            full, _ = train(corpus, cfg)
+            mid, _ = train(corpus, cfg, stop_after=stop)
+            assert (mid.potentials is None) == (stop < 6)
+            path = tmp_path / "mid.ckpt"
+            save_checkpoint(mid, path)
+            resumed, _ = train(corpus, cfg, resume_from=load_checkpoint(path))
+            assert checkpoints_equal(full, resumed)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"
@@ -269,6 +281,40 @@ class TestCheckpointFile:
         blob[4] = CHECKPOINT_VERSION + 1
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        """Version 1 files predate the potentials; they are not read."""
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError,
+                           match="^unsupported checkpoint version 1 at "):
+            load_checkpoint(path)
+
+    def test_potentials_only_together(self, tmp_path):
+        cfg = tiny_config(loss=dataclasses.replace(
+            tiny_config().loss, sinkhorn=converged_config(0.05)))
+        ckpt, _ = train(tiny_corpus(), cfg, stop_after=9)
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(ckpt, path)
+        assert checkpoints_equal(load_checkpoint(path), ckpt)
+        ckpt.potentials[1][0] = np.inf
+        save_checkpoint(ckpt, path)
+        with pytest.raises(FormatError, match="tensor potentials.m2 at "
+                                              "offset .* holds NaN or Inf"):
+            load_checkpoint(path)
+        blob = path.read_bytes()
+        record = blob.index(b"potentials.m2") - 4  # its name length
+        count_at = 16 + int.from_bytes(blob[8:12], "little") - 4
+        count = int.from_bytes(blob[count_at:count_at + 4], "little")
+        size = 4 + 13 + 4 + 4 + 8 * 4  # name length, name, rank, K, values
+        path.write_bytes(blob[:count_at] + (count - 1).to_bytes(4, "little")
+                         + blob[count_at + 4:record] + blob[record + size:])
+        with pytest.raises(FormatError,
+                           match="^missing tensors: potentials.m2$"):
             load_checkpoint(path)
 
     def test_truncated_anywhere(self, tmp_path):
