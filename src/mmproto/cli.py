@@ -31,6 +31,23 @@ EXIT_USAGE = UsageError.exit_code
 EXIT_NUMERIC = NumericalError.exit_code
 
 
+#: pretrain flag -> (config key, argument type, help text before the default)
+CONFIG_FLAGS = {
+    "--epochs": ("epochs", int, "training epochs"),
+    "--batch-size": ("batch_size", int, "batch size"),
+    "--lr": ("base_lr", float, "base learning rate"),
+    "--momentum": ("momentum", float, "SGD momentum"),
+    "--k": ("k_prototypes", int, "number of prototypes"),
+    "--temperature": ("loss.temperature", float, "softmax temperature"),
+    "--epsilon": ("loss.sinkhorn.epsilon", float, "Sinkhorn regularization"),
+    "--queue-length": ("loss.queue_length", int, "feature queue capacity"),
+    "--embed-dim": ("encoder.embed_dim", int, "embedding dimensionality"),
+    "--hidden-dims": ("encoder.hidden_dims", str,
+                      "comma-separated hidden widths"),
+    "--seed": ("seed", int, "training seed"),
+}
+
+
 def _write_manifest(path, command: str, config: dict, paths: dict, seed):
     manifest = {"command": command, "config": config, "paths": paths,
                 "seed": seed, "version": __version__}
@@ -63,37 +80,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="generator seed (default: %(default)s)")
     g.add_argument("--out", required=True, help="output corpus path")
 
-    defaults = TrainConfig()
     p = sub.add_parser("pretrain", help="train encoder and prototypes")
     p.add_argument("--data", required=True, help="corpus file")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--resume", help="checkpoint to resume from")
     p.add_argument("--metrics", help="append-only metrics file (JSON lines)")
-    p.add_argument("--epochs", type=int,
-                   help=f"training epochs (default: {defaults.epochs})")
-    p.add_argument("--batch-size", type=int,
-                   help=f"batch size (default: {defaults.batch_size})")
-    p.add_argument("--lr", type=float,
-                   help=f"base learning rate (default: {defaults.base_lr})")
-    p.add_argument("--momentum", type=float,
-                   help=f"SGD momentum (default: {defaults.momentum})")
-    p.add_argument("--k", type=int,
-                   help=f"number of prototypes (default: {defaults.k_prototypes})")
-    p.add_argument("--temperature", type=float,
-                   help=f"softmax temperature (default: {defaults.loss.temperature})")
-    p.add_argument("--epsilon", type=float,
-                   help="Sinkhorn regularization "
-                        f"(default: {defaults.loss.sinkhorn.epsilon})")
-    p.add_argument("--queue-length", type=int,
-                   help=f"feature queue capacity (default: {defaults.loss.queue_length})")
-    p.add_argument("--embed-dim", type=int,
-                   help=f"embedding dimensionality (default: {defaults.encoder.embed_dim})")
-    p.add_argument("--hidden-dims",
-                   help="comma-separated hidden widths "
-                        f"(default: {','.join(map(str, defaults.encoder.hidden_dims))})")
-    p.add_argument("--seed", type=int,
-                   help=f"training seed (default: {defaults.seed})")
+    defaults = config_entries(config_to_text(TrainConfig()))
+    for flag, (key, kind, text) in CONFIG_FLAGS.items():
+        p.add_argument(flag, type=kind,
+                       help=f"{text} (default: {defaults[key]})")
     p.add_argument("--stop-after", type=int,
                    help="stop after this many total steps, keeping the "
                         "full schedule; resume later with --resume "
@@ -127,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     d.add_argument("--seed", type=int, default=0,
                    help="suite seed (default: %(default)s)")
-    d.add_argument("--perturb", default=None,
-                   help="testing hook: corrupt the named op's gradient")
     return parser
 
 
@@ -140,19 +134,9 @@ def _flags_to_config(args) -> tuple[TrainConfig, dict, dict]:
         entries = config_entries(
             Path(args.config).read_text(errors="replace"))
         base = config_from_dict(entries)
-    overrides = {}
-    flag_map = {
-        "epochs": "epochs", "batch_size": "batch_size", "lr": "base_lr",
-        "momentum": "momentum", "k": "k_prototypes",
-        "temperature": "loss.temperature", "epsilon": "loss.sinkhorn.epsilon",
-        "queue_length": "loss.queue_length",
-        "embed_dim": "encoder.embed_dim", "hidden_dims": "encoder.hidden_dims",
-        "seed": "seed",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[key] = str(value)
+    overrides = {key: str(value) for flag, (key, _, _) in CONFIG_FLAGS.items()
+                 if (value := getattr(args, flag[2:].replace("-", "_")))
+                 is not None}
     return config_from_dict(overrides, base), overrides, entries
 
 
@@ -182,14 +166,6 @@ def _cmd_pretrain(args) -> int:
     if resume is not None:
         config = resume.config
 
-    sink = None
-    metrics_file = None
-    if args.metrics:
-        metrics_file = open(args.metrics, "a")
-
-        def sink(record):
-            metrics_file.write(json.dumps(record.to_dict()) + "\n")
-
     # adopt the corpus dimensionality unless explicitly configured
     dims = (corpus.modality1.shape[1], corpus.modality2.shape[1])
     clash = [f"{key}={width} but the corpus has {want}"
@@ -203,9 +179,18 @@ def _cmd_pretrain(args) -> int:
         config = replace(config, encoder=replace(
             config.encoder, input_dims=dims))
 
+    metrics_file = None
+
+    def sink(record):  # opened on the first record: a rejected run writes none
+        nonlocal metrics_file
+        if metrics_file is None:
+            metrics_file = open(args.metrics, "a")
+        metrics_file.write(json.dumps(record.to_dict()) + "\n")
+
     try:
         ckpt, metrics = train(corpus, config, resume_from=resume,
-                              metrics_sink=sink, stop_after=args.stop_after)
+                              metrics_sink=sink if args.metrics else None,
+                              stop_after=args.stop_after)
     finally:
         if metrics_file:
             metrics_file.close()
@@ -262,7 +247,7 @@ def _cmd_codes(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_suite(seed=args.seed, perturb=args.perturb)
+    results = run_suite(seed=args.seed)
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"

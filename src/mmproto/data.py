@@ -11,6 +11,7 @@ so corpora are reproducible bit-for-bit from the seed alone.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -159,22 +160,21 @@ def permutation(n: int, seed: int) -> np.ndarray:
 
 
 def batches(corpus: PairedCorpus, batch_size: int, epoch_seed: int):
-    """Seeded shuffle into aligned batches; a trailing batch of 1 is dropped."""
+    """Seeded shuffle into the `n_batches` aligned batches of an epoch."""
     if batch_size < 1:
         raise UsageError(f"batch_size must be >= 1, got {batch_size}")
-    n = corpus.n_samples
-    order = permutation(n, epoch_seed)
+    order = permutation(corpus.n_samples, epoch_seed)
     out = []
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        if len(idx) < 2 and len(idx) < batch_size:
-            break  # Sinkhorn degeneracy guard
+    for i in range(n_batches(corpus.n_samples, batch_size)):
+        idx = order[i * batch_size:(i + 1) * batch_size]
         out.append(ModalityBatch(corpus.modality1[idx], corpus.modality2[idx],
                                  idx.copy()))
     return out
 
 
 def n_batches(n_samples: int, batch_size: int) -> int:
+    """Batches per epoch: a trailing batch of 1 is dropped (Sinkhorn
+    degeneracy guard)."""
     full, rem = divmod(n_samples, batch_size)
     return full + (1 if rem >= 2 else 0)
 
@@ -196,35 +196,73 @@ def save_corpus(corpus: PairedCorpus, path):
                 corpus.labels, dtype="<u4").tobytes())
 
 
+class Reader:
+    """Bounds-checked reads of a container file in field order. A bad magic
+    or version, a read past the end and an unread trailing byte are each a
+    `FormatError` naming the container kind, the field and the offset."""
+
+    def __init__(self, path, kind: str, magic: bytes, version: int):
+        with open(path, "rb") as f:
+            self.blob = f.read()
+        self.kind, self.offset = kind, 0
+        got = self.bytes(len(magic), "magic")
+        if got != magic:
+            raise FormatError(f"bad {kind} magic at offset 0: {got!r}")
+        self.version = self.u32("version")
+        if self.version != version:
+            raise FormatError(
+                f"unsupported {kind} version {self.version} at offset 4")
+
+    def _claim(self, n: int, field: str) -> int:
+        """The offset of the next n bytes, which `field` takes."""
+        at = self.offset
+        if at + n > len(self.blob):
+            raise FormatError(
+                f"truncated {self.kind}: {field} needs {n} bytes at offset "
+                f"{at}, file is {len(self.blob)} bytes")
+        self.offset = at + n
+        return at
+
+    def bytes(self, n: int, field: str) -> bytes:
+        at = self._claim(n, field)
+        return self.blob[at:at + n]
+
+    def u32(self, field: str) -> int:
+        return int.from_bytes(self.bytes(4, field), "little")
+
+    def array(self, dtype: str, shape: tuple, field: str) -> np.ndarray:
+        """A writable `shape` array of a little-endian `<f8` or `<u4`."""
+        count = math.prod(shape)
+        at = self._claim(np.dtype(dtype).itemsize * count, field)
+        return np.frombuffer(self.blob, dtype, count, at).reshape(
+            shape).copy()
+
+    def end(self):
+        """Reject any byte after the last field."""
+        if self.offset != len(self.blob):
+            raise FormatError(f"{len(self.blob) - self.offset} trailing "
+                              f"bytes at offset {self.offset} of the "
+                              f"{self.kind}")
+
+
 def load_corpus(path) -> PairedCorpus:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != MAGIC:
-        raise FormatError(f"bad magic at offset 0: {blob[:4]!r}")
-    if len(blob) < 21:
-        raise FormatError(f"truncated header: file is {len(blob)} bytes")
-    version, n, d1, d2, has_labels = struct.unpack_from("<IIIIB", blob, 4)
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4")
-    offset = 24
-    expect = offset + 8 * n * (d1 + d2) + (4 * n if has_labels else 0)
-    if len(blob) != expect:
-        raise FormatError(
-            f"truncated payload: expected {expect} bytes, got {len(blob)} "
-            f"(offset {min(len(blob), expect)})")
-    m1 = np.frombuffer(blob, dtype="<f8", count=n * d1,
-                       offset=offset).reshape(n, d1).copy()
-    offset += 8 * n * d1
-    m2 = np.frombuffer(blob, dtype="<f8", count=n * d2,
-                       offset=offset).reshape(n, d2).copy()
-    offset += 8 * n * d2
+    reader = Reader(path, "corpus", MAGIC, FORMAT_VERSION)
+    n, d1, d2 = (reader.u32(field) for field in ("n", "d1", "d2"))
+    has_labels = reader.bytes(1, "label flag")[0]
+    if has_labels > 1:
+        raise FormatError(f"bad corpus label flag {has_labels} at offset "
+                          f"{reader.offset - 1}")
+    reader.bytes(3, "padding")
+    m1 = reader.array("<f8", (n, d1), "modality 1")
+    m2 = reader.array("<f8", (n, d2), "modality 2")
     labels = None
     if has_labels:
-        labels = np.frombuffer(blob, dtype="<u4", count=n,
-                               offset=offset).astype(np.int64)
+        at = reader.offset
+        labels = reader.array("<u4", (n,), "labels").astype(np.int64)
         bad = np.flatnonzero(labels >= n)
         if bad.size:
             raise FormatError(
-                f"label {labels[bad[0]]} at offset {offset + 4 * bad[0]} "
+                f"label {labels[bad[0]]} at offset {at + 4 * bad[0]} "
                 f"is not below the sample count {n}")
+    reader.end()
     return PairedCorpus(m1, m2, labels)

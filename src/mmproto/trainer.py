@@ -15,13 +15,12 @@ buffers.
 from __future__ import annotations
 
 import dataclasses
-import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PairedCorpus, batches, n_batches
+from .data import PairedCorpus, Reader, batches, n_batches
 from .errors import FormatError, NumericalAbort, NumericalError, UsageError
 from .model import EncoderConfig, embed, init_params, renormalize_prototypes
 from .numerics import Tensor, backward
@@ -262,6 +261,9 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     if resume_from is not None:
         if resume_from.config != config:
             raise UsageError("resume config differs from checkpoint config")
+        if stop_after is not None and stop_after < resume_from.iteration:
+            raise UsageError(f"stop_after {stop_after} is below the resumed "
+                             f"iteration {resume_from.iteration}")
         iteration, potentials = _restore(resume_from, params, velocity,
                                          queue)
 
@@ -388,31 +390,8 @@ def load_checkpoint(path) -> Checkpoint:
     offset or tensor. Tensor names and shapes must be those of the model
     that the embedded config builds, and every value must be finite. The
     two potential tensors are optional, but only together."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    offset = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal offset
-        if offset + n > len(blob):
-            raise FormatError(
-                f"truncated checkpoint: {what} needs {n} bytes at offset "
-                f"{offset}, file is {len(blob)} bytes")
-        offset += n
-        return blob[offset - n:offset]
-
-    def take_u32(what: str) -> int:
-        return struct.unpack("<I", take(4, what))[0]
-
-    magic = take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic at offset 0: {magic!r}")
-    version = take_u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"unsupported checkpoint version {version} at offset 4")
-    cfg_len = take_u32("config length")
-    cfg_text = take(cfg_len, "config text")
+    reader = Reader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    cfg_text = reader.bytes(reader.u32("config length"), "config text")
     try:
         config = config_from_text(cfg_text.decode("utf-8"))
         shapes = {name: arr.shape for name, arr
@@ -420,35 +399,30 @@ def load_checkpoint(path) -> Checkpoint:
         shapes.update((name, (config.k_prototypes,)) for name in POTENTIALS)
     except (UnicodeDecodeError, UsageError) as exc:
         raise FormatError(f"bad config text at offset 12: {exc}") from None
-    count = take_u32("tensor count")
 
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name_len = take_u32("tensor name length")
-        at = offset
+    for _ in range(reader.u32("tensor count")):
+        name_len = reader.u32("tensor name length")
+        at = reader.offset
         try:
-            name = take(name_len, "tensor name").decode("utf-8")
+            name = reader.bytes(name_len, "tensor name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(
                 f"tensor name at offset {at} is not UTF-8") from None
         if name not in shapes or name in tensors:
             raise FormatError(f"unexpected tensor {name!r} at offset {at}")
-        rank = take_u32(f"rank of {name}")
+        rank = reader.u32(f"rank of {name}")
         if rank > 2:
-            raise FormatError(
-                f"rank {rank} of {name} at offset {offset - 4} exceeds 2")
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name}"))
+            raise FormatError(f"rank {rank} of {name} at offset "
+                              f"{reader.offset - 4} exceeds 2")
+        dims = tuple(reader.array("<u4", (rank,), f"shape of {name}").tolist())
         if dims != shapes[name]:
             raise FormatError(f"tensor {name} has shape {dims}, its config "
                               f"builds {shapes[name]}")
-        tensors[name] = np.frombuffer(
-            take(8 * math.prod(dims), f"data of {name}"),
-            dtype="<f8").reshape(dims).copy()
+        tensors[name] = reader.array("<f8", dims, f"data of {name}")
         if not np.isfinite(tensors[name]).all():
             raise FormatError(f"tensor {name} at offset {at} holds NaN or Inf")
-    if offset != len(blob):
-        raise FormatError(
-            f"{len(blob) - offset} trailing bytes at offset {offset}")
+    reader.end()
     missing = shapes.keys() - tensors.keys()
     if set(POTENTIALS) <= missing:
         missing -= set(POTENTIALS)  # a run that holds no potentials yet
@@ -466,7 +440,7 @@ def load_checkpoint(path) -> Checkpoint:
     moms = {k[len("mom."):]: v for k, v in tensors.items()
             if k.startswith("mom.")}
     return Checkpoint(
-        version=version, config=config, params=params,
+        version=reader.version, config=config, params=params,
         momentum_buffers=moms, iteration=int(iteration),
         queue_m1=tensors["queue.m1"], queue_m2=tensors["queue.m2"],
         queue_fill=int(fill), queue_cursor=int(cursor),

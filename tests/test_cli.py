@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmproto.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from mmproto import gradcheck
+from mmproto.cli import (CONFIG_FLAGS, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
+                         EXIT_USAGE, main)
 from mmproto.data import PairedCorpus, load_corpus, save_corpus
 from mmproto.errors import FormatError
+from mmproto.numerics import backward
 from mmproto.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 
@@ -141,6 +145,23 @@ class TestPretrain:
         assert err.startswith("usage error: --resume takes its config")
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, flags", [
+        ("encoder.d1=20\n", []),
+        ("", ["--resume", "{ckpt}", "--stop-after", "3"]),
+    ])
+    def test_usage_error_writes_no_metrics(self, tmp_path, corpus_file,
+                                           trained_ckpt, capsys, config,
+                                           flags):
+        metrics = tmp_path / "m.jsonl"
+        argv = ["pretrain", "--data", str(corpus_file), "--metrics",
+                str(metrics), "--out", str(tmp_path / "x.ckpt"),
+                *[f.format(ckpt=trained_ckpt) for f in flags]]
+        if config:
+            (tmp_path / "c.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "c.cfg")]
+        assert run(capsys, *argv)[0] == EXIT_USAGE
+        assert not metrics.exists()
+
 
 class TestProbe:
     def test_cluster_probe_prints_nmi(self, corpus_file, trained_ckpt,
@@ -253,6 +274,10 @@ class TestExitCodes:
         ({"v1.ckpt": "MMCK\x01\x00\x00\x00"},
          "probe --ckpt {tmp}/v1.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: unsupported checkpoint version 1 at offset 4"),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --resume {ckpt} "
+             "--stop-after 3",
+         EXIT_USAGE, "usage error: stop_after 3 is below the resumed "
+                     "iteration 16"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -355,9 +380,15 @@ class TestGradcheck:
         assert "pass" in out and "FAIL" not in out
         assert "max_rel_err" in out
 
-    def test_perturbed_gradient_fails(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--seed", "0",
-                           "--perturb", "matmul")
+    def test_perturbed_gradient_fails(self, capsys, monkeypatch):
+        def faulty(loss, params):  # corrupts the matmul check's `a` gradient
+            grads = backward(loss, params)
+            if "a" in grads:
+                grads["a"] = grads["a"] + 0.5
+            return grads
+
+        monkeypatch.setattr(gradcheck, "backward", faulty)
+        code, out, _ = run(capsys, "gradcheck", "--seed", "0")
         assert code == EXIT_NUMERIC
         assert "FAIL" in out and "matmul" in out
 
@@ -369,5 +400,15 @@ class TestUsage:
     def test_help_lists_defaults(self, capsys):
         code, out, _ = run(capsys, "gen-data", "--help")
         assert code == EXIT_OK
-        defaults = TrainConfig()
         assert "default" in out
+
+    def test_pretrain_help_lists_config_defaults(self, capsys):
+        code, out, _ = run(capsys, "pretrain", "--help")
+        assert code == EXIT_OK
+        text = " ".join(out.split())  # undo argparse's line wrapping
+        for flag, (key, _, help_text) in CONFIG_FLAGS.items():
+            value = functools.reduce(getattr, key.split("."), TrainConfig())
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            metavar = flag[2:].upper().replace("-", "_")
+            assert f"{flag} {metavar} {help_text} (default: {value})" in text

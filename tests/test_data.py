@@ -102,6 +102,16 @@ class TestBatches:
         assert len(seen) == len(set(seen.tolist()))
         assert len(seen) == 98  # 14 batches of 7, trailing 1 dropped
 
+    def test_batch_sizes_match_n_batches(self):
+        for n in range(40):
+            corpus = PairedCorpus(np.zeros((n, 1)), np.zeros((n, 1)), None)
+            for size in range(1, 12):
+                full, rem = divmod(n, size)
+                want = [size] * full + ([rem] if rem >= 2 else [])
+                got = [len(b.sample_indices)
+                       for b in batches(corpus, size, epoch_seed=0)]
+                assert got == want and n_batches(n, size) == len(want)
+
     def test_modalities_stay_aligned(self):
         corpus = generate(small_spec())
         for batch in batches(corpus, 16, epoch_seed=3):
@@ -162,4 +172,22 @@ class TestCorpusFile:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version"):
+            load_corpus(path)
+
+    def test_label_flag_must_be_0_or_1(self, tmp_path):
+        path = tmp_path / "c.mmp"
+        save_corpus(generate(small_spec()), path)
+        blob = bytearray(path.read_bytes())
+        blob[20] = 2
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError,
+                           match="^bad corpus label flag 2 at offset 20$"):
+            load_corpus(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "c.mmp"
+        save_corpus(generate(small_spec(d1=32, d2=32)), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(FormatError,
+                           match="^8 trailing bytes at offset 103224 of the corpus$"):
             load_corpus(path)
