@@ -252,7 +252,10 @@ def load_corpus(path) -> PairedCorpus:
     if has_labels > 1:
         raise FormatError(f"bad corpus label flag {has_labels} at offset "
                           f"{reader.offset - 1}")
-    reader.bytes(3, "padding")
+    padding = reader.bytes(3, "padding")
+    if any(padding):
+        at = reader.offset - 3 + next(i for i, v in enumerate(padding) if v)
+        raise FormatError(f"nonzero corpus padding byte at offset {at}")
     m1 = reader.array("<f8", (n, d1), "modality 1")
     m2 = reader.array("<f8", (n, d2), "modality 2")
     labels = None

@@ -14,7 +14,7 @@ import numpy as np
 from .data import PairedCorpus, permutation
 from .errors import NumericalError, UsageError
 from .model import embed, prototype_scores
-from .numerics import Tensor, backward
+from .numerics import Tensor, affine, as_matrix, backward, cross_entropy
 from .trainer import Checkpoint, model_from_checkpoint
 
 PROBE_STEPS = 500
@@ -60,7 +60,11 @@ def _embeddings(ckpt: Checkpoint, corpus: PairedCorpus, modality: str):
                                  f"NaN or Inf, the first is row {bad[0]}")
     params = model_from_checkpoint(ckpt)
     z = np.hstack([embed(params, inputs[m], m).data for m in views])
-    return z, params["prototypes"]
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    if bad.size:
+        raise NumericalError(f"{bad.size} row(s) overflow the encoder to NaN "
+                             f"or Inf, the first is row {bad[0]}")
+    return z, params["prototypes"].data
 
 
 def _split(n: int, split_seed: int, test_fraction: float = 0.2):
@@ -86,11 +90,10 @@ def train_linear_classifier(features: np.ndarray, labels: np.ndarray,
     onehot[np.arange(n), labels] = 1.0
 
     w, b = Tensor(np.zeros((d, n_classes))), Tensor(np.zeros((1, n_classes)))
-    x = Tensor(features)
+    x = as_matrix(features)
     for _ in range(steps):
-        logp = (x @ w + b).log_softmax_rows()
-        loss = -(Tensor(onehot) * logp).sum() * (1.0 / n)
-        grads = backward(loss, {"w": w, "b": b})
+        grads = backward(cross_entropy(affine(x, w, b), onehot),
+                         {"w": w, "b": b})
         w.data -= lr * grads["w"]
         b.data -= lr * grads["b"]
     return w.data, b.data
@@ -180,7 +183,7 @@ def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus,
         raise UsageError(
             f"the cluster probe takes modality m1 or m2, got {modality!r}")
     z, prototypes = _embeddings(ckpt, corpus, modality)
-    scores = prototype_scores(z, prototypes).data  # K x n
+    scores = prototype_scores(z, prototypes)  # K x n
     assignments = scores.argmax(axis=0)
     sizes = np.bincount(assignments, minlength=prototypes.shape[0])
     return ClusterReport(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import EncoderConfig, embed, init_params
-from .numerics import (Tensor, backward, finite_difference,
-                       relative_gradient_error)
+from .numerics import (Tensor, affine, backward, cross_entropy,
+                       finite_difference, relative_gradient_error)
 from .objective import LossConfig, compute_batch_codes, swapped_loss
 from .sinkhorn import converged_config
 
@@ -49,25 +49,20 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
 
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 5))
+    # each node under a cross-entropy head whose target rows do not sum
+    # to 1, so that the gradient's rowsum(targets) factor is audited too
+    targets = np.abs(rng.standard_normal((4, 6)))
     results.append(_check(
-        "matmul", lambda p: (p["a"] @ p["b"]).log_softmax_rows().sum() * 0.1,
-        {"a": a, "b": b}))
-
-    m = rng.standard_normal((4, 6))
+        "affine", lambda p: cross_entropy(
+            affine(p["a"], p["b"], p["c"], relu=True), targets, 0.5),
+        {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal((3, 6)),
+         "c": rng.standard_normal((1, 6))}))
     results.append(_check(
         "l2_normalize",
-        lambda p: (p["m"].l2_normalize_rows() *
-                   Tensor(np.ones((4, 6)))).sum(),
-        {"m": m.copy() + 0.1}))
-
-    q_rows = np.abs(rng.standard_normal((4, 6)))
-    q_rows /= q_rows.sum(axis=1, keepdims=True)
+        lambda p: cross_entropy(p["m"].l2_normalize_rows(), targets, 0.5),
+        {"m": rng.standard_normal((4, 6)) + 0.1}))
     results.append(_check(
-        "cross_entropy",
-        lambda p: -(Tensor(q_rows) * p["s"].log_softmax_rows(0.1)).sum()
-        * 0.25,
+        "cross_entropy", lambda p: cross_entropy(p["s"], targets, 0.1),
         {"s": rng.standard_normal((4, 6))}))
 
     results.append(_full_loss_check("swapped_loss", seed, use_queue=False))

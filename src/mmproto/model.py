@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .numerics import Tensor
+from .numerics import Tensor, affine, as_matrix
 
 PROTOTYPE_RESEED = 0x5eed  # auxiliary seed for re-randomizing dead prototypes
 
@@ -64,32 +64,36 @@ def init_params(config: EncoderConfig, k: int, seed: int) -> dict[str, Tensor]:
 
 
 def embed(params: dict[str, Tensor], batch, modality: int) -> Tensor:
-    """L2-normalized embeddings for one modality, differentiable in params."""
+    """L2-normalized embeddings for one modality, differentiable in params.
+
+    Rows that overflow come out as NaN without a numpy warning; the loss
+    and the probes reject them."""
     if modality not in (0, 1):
         raise UsageError(f"modality must be 0 or 1, got {modality}")
-    x = batch if isinstance(batch, Tensor) else Tensor(batch)
+    x = batch if isinstance(batch, Tensor) else as_matrix(batch)
     w = params[f"adapter{modality + 1}.w"]
     if x.shape[1] != w.shape[0]:
         raise UsageError(
             f"modality {modality + 1} expects width {w.shape[0]}, "
             f"got {x.shape[1]}")
-    h = (x @ w + params[f"adapter{modality + 1}.b"]).relu()
-    i = 0
-    while f"trunk{i}.w" in params:
-        h = (h @ params[f"trunk{i}.w"] + params[f"trunk{i}.b"]).relu()
-        i += 1
-    out = ((h @ params["head0.w"] + params["head0.b"]).relu()
-           @ params["head1.w"] + params["head1.b"])
-    return out.l2_normalize_rows()
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = affine(x, w, params[f"adapter{modality + 1}.b"], relu=True)
+        i = 0
+        while f"trunk{i}.w" in params:
+            h = affine(h, params[f"trunk{i}.w"], params[f"trunk{i}.b"],
+                       relu=True)
+            i += 1
+        h = affine(h, params["head0.w"], params["head0.b"], relu=True)
+        return affine(h, params["head1.w"], params["head1.b"]
+                      ).l2_normalize_rows()
 
 
-def prototype_scores(z, prototypes: Tensor) -> Tensor:
-    """scores[k, b] = c_k . z_b, shape K x B; differentiable in z and C."""
-    zt = z if isinstance(z, Tensor) else Tensor(z)
-    if zt.shape[1] != prototypes.shape[1]:
-        raise UsageError(f"embedding dim {zt.shape[1]} vs prototype dim "
+def prototype_scores(z: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """scores[k, b] = c_k . z_b, shape K x B."""
+    if z.shape[1] != prototypes.shape[1]:
+        raise UsageError(f"embedding dim {z.shape[1]} vs prototype dim "
                          f"{prototypes.shape[1]}")
-    return prototypes @ zt.T
+    return prototypes @ z.T
 
 
 def renormalize_prototypes(prototypes: Tensor) -> list[int]:

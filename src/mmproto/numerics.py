@@ -1,9 +1,11 @@
 """Dense float64 matrix primitives and a reverse-mode gradient tape.
 
 Matrices are plain 2-D C-contiguous float64 numpy arrays (row-major).
-The autodiff facility is a small dynamic graph: every `Tensor` op records
-its parents and a backward closure; `backward` walks the graph in reverse
-topological order and accumulates gradients into the named parameters.
+The autodiff facility is a small dynamic graph of fused nodes: every
+`Tensor` built by an op records its parents and a backward closure that
+hands each parent its share of the gradient; `backward` walks the graph in
+reverse topological order and accumulates gradients into the named
+parameters.
 """
 from __future__ import annotations
 
@@ -19,126 +21,25 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 class Tensor:
-    """Node in the dynamic autodiff graph; wraps a float64 ndarray."""
+    """Node in the dynamic autodiff graph; wraps a float64 ndarray.
+
+    A leaf (a parameter) has no parents. An op's node lists the Tensors it
+    differentiates as `parents`, and its `backward(g)` passes each of them
+    its gradient through `_accum`.
+    """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data):
+    def __init__(self, data, parents: tuple = (), backward=None):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.grad = None
-        self._parents: tuple = ()
-        self._backward = None
+        self._parents = parents
+        self._backward = backward
 
     @property
     def shape(self):
         return self.data.shape
-
-    @staticmethod
-    def _wrap(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(other)
-
-    def _make(self, data, parents, backward) -> "Tensor":
-        out = Tensor(data)
-        out._parents = tuple(p for p in parents if isinstance(p, Tensor))
-        out._backward = backward
-        return out
-
-    # ---- elementwise / broadcasting ----
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        out_data = self.data + other.data
-
-        def backward(g):
-            self._accum(_unbroadcast(g, self.data.shape))
-            other._accum(_unbroadcast(g, other.data.shape))
-
-        return self._make(out_data, (self, other), backward)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        def backward(g):
-            self._accum(-g)
-        return self._make(-self.data, (self,), backward)
-
-    def __mul__(self, other):
-        other = self._wrap(other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            self._accum(_unbroadcast(g * other.data, self.data.shape))
-            other._accum(_unbroadcast(g * self.data, other.data.shape))
-
-        return self._make(out_data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    # ---- matrix ops ----
-
-    def matmul(self, other: "Tensor") -> "Tensor":
-        other = self._wrap(other)
-        if self.data.shape[1] != other.data.shape[0]:
-            raise UsageError(
-                f"matmul shape mismatch: {self.data.shape} times "
-                f"{other.data.shape}")
-        out_data = self.data @ other.data
-
-        def backward(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
-
-        return self._make(out_data, (self, other), backward)
-
-    __matmul__ = matmul
-
-    @property
-    def T(self) -> "Tensor":
-        def backward(g):
-            self._accum(g.T)
-        return self._make(self.data.T.copy(), (self,), backward)
-
-    # ---- nonlinearities and reductions ----
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0.0
-
-        def backward(g):
-            self._accum(g * mask)
-
-        return self._make(self.data * mask, (self,), backward)
-
-    def sum(self) -> "Tensor":
-        shape = self.data.shape
-
-        def backward(g):
-            self._accum(np.broadcast_to(g, shape))
-
-        return self._make(np.array([[self.data.sum()]]), (self,), backward)
-
-    def log_softmax_rows(self, temperature: float = 1.0) -> "Tensor":
-        if temperature <= 0:
-            raise UsageError(f"temperature must be > 0, got {temperature}")
-        s = self.data / temperature
-        s = s - s.max(axis=1, keepdims=True)
-        logp = s - np.log(np.exp(s).sum(axis=1, keepdims=True))
-        p = np.exp(logp)
-
-        def backward(g):
-            self._accum((g - p * g.sum(axis=1, keepdims=True)) / temperature)
-
-        return self._make(logp, (self,), backward)
 
     def l2_normalize_rows(self) -> "Tensor":
         with np.errstate(over="ignore"):
@@ -163,14 +64,78 @@ class Tensor:
             dot = (g * y).sum(axis=1, keepdims=True)
             self._accum((g - y * dot) / safe)
 
-        return self._make(y, (self,), backward)
-
-    # ---- gradient plumbing ----
+        return Tensor(y, (self,), backward)
 
     def _accum(self, g: np.ndarray):
+        """Add `g` to this node's gradient. The first `g` becomes the
+        gradient itself, so it must be a new array that nothing else holds."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad += g
+
+
+def affine(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """`x @ w + b`, through a relu if `relu`, as one node. An ndarray `x`
+    (an input batch) is a constant and gets no gradient; a Tensor `x` gets
+    its gradient."""
+    constant = not isinstance(x, Tensor)
+    xd = x if constant else x.data
+    if xd.shape[1] != w.data.shape[0]:
+        raise UsageError(f"matmul shape mismatch: {xd.shape} times "
+                         f"{w.data.shape}")
+    out = xd @ w.data
+    out += b.data
+    if relu:
+        mask = out > 0.0
+        out *= mask
+
+    def backward(g):
+        if relu:
+            g = g * mask
+        if not constant:
+            x._accum(g @ w.data.T)
+        w._accum(xd.T @ g)
+        b._accum(g.sum(axis=0, keepdims=True))
+
+    return Tensor(out, (w, b) if constant else (x, w, b), backward)
+
+
+def log_softmax_rows(s: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """log softmax(s / temperature) of each row of an array, computed
+    shifted by the row maximum so that no exponential overflows."""
+    if temperature <= 0:
+        raise UsageError(f"temperature must be > 0, got {temperature}")
+    s = s / temperature
+    s -= s.max(axis=1, keepdims=True)
+    s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
+    return s
+
+
+def cross_entropy_sum(scores: np.ndarray, targets: np.ndarray,
+                      temperature: float = 1.0) -> tuple[float, np.ndarray]:
+    """-sum(targets * log softmax(scores / temperature)) over all rows, and
+    its gradient in `scores`, (softmax(s / T) * rowsum(targets) - targets)
+    / T, which stays exact for target rows that do not sum to 1."""
+    logp = log_softmax_rows(scores, temperature)
+    grad = np.exp(logp)
+    grad *= targets.sum(axis=1, keepdims=True)
+    grad -= targets
+    grad /= temperature
+    return -(targets * logp).sum(), grad
+
+
+def cross_entropy(scores: Tensor, targets: np.ndarray,
+                  temperature: float = 1.0) -> Tensor:
+    """Mean over rows of -targets . log softmax(scores / temperature), as
+    one scalar node."""
+    value, grad = cross_entropy_sum(scores.data, targets, temperature)
+    n = len(targets)
+
+    def backward(g):
+        scores._accum(grad * (g[0, 0] / n))
+
+    return Tensor([[value / n]], (scores,), backward)
 
 
 def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -205,11 +170,10 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
 
-    out = {}
-    for name, p in params.items():
-        out[name] = (p.grad.copy() if p.grad is not None
-                     else np.zeros_like(p.data))
-    return out
+    # every gradient is a new array of this sweep's own, so handing it out
+    # cannot change a later sweep
+    return {name: p.grad if p.grad is not None else np.zeros_like(p.data)
+            for name, p in params.items()}
 
 
 def finite_difference(fn, params: dict[str, np.ndarray],

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .model import prototype_scores
-from .numerics import Tensor
+from .numerics import Tensor, cross_entropy_sum
 from .sinkhorn import SinkhornConfig, compute_codes
 
 
@@ -120,9 +119,8 @@ def swapped_loss(z1: Tensor, z2: Tensor, prototypes: Tensor,
             warnings.warn("batch of 1 with no queue: codes are uninformative",
                           stacklevel=2)
 
-    potentials = None
+    c, potentials = prototypes.data, None
     if codes is None:
-        c = prototypes.data
         start1, start2 = (None, None) if start is None else start
         q1, u1 = compute_batch_codes(z1.data, c, queue_rows[0],
                                      config.sinkhorn, start1)
@@ -133,9 +131,17 @@ def swapped_loss(z1: Tensor, z2: Tensor, prototypes: Tensor,
     else:
         q1, q2 = codes
 
-    tau = config.temperature
-    logp1 = prototype_scores(z1, prototypes).T.log_softmax_rows(tau)
-    logp2 = prototype_scores(z2, prototypes).T.log_softmax_rows(tau)
-    loss = -((Tensor(q2) * logp1).sum()
-             + (Tensor(q1) * logp2).sum()) * (1.0 / b)
+    # one node: each view's B x K scores predict the other view's code,
+    # with the closed-form gradient in the scores
+    value1, d1 = cross_entropy_sum(z1.data @ c.T, q2, config.temperature)
+    value2, d2 = cross_entropy_sum(z2.data @ c.T, q1, config.temperature)
+
+    def backward(g):
+        g1, g2 = d1 * (g[0, 0] / b), d2 * (g[0, 0] / b)
+        z1._accum(g1 @ c)
+        z2._accum(g2 @ c)
+        prototypes._accum(g1.T @ z1.data + g2.T @ z2.data)
+
+    loss = Tensor([[(value1 + value2) * (1.0 / b)]], (z1, z2, prototypes),
+                  backward)
     return loss, potentials

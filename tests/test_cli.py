@@ -11,8 +11,10 @@ from mmproto.cli import (CONFIG_FLAGS, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
                          EXIT_USAGE, main)
 from mmproto.data import PairedCorpus, load_corpus, save_corpus
 from mmproto.errors import FormatError
+from mmproto.model import embed
 from mmproto.numerics import backward
-from mmproto.trainer import TrainConfig, load_checkpoint, save_checkpoint
+from mmproto.trainer import (TrainConfig, load_checkpoint,
+                             model_from_checkpoint, save_checkpoint)
 
 
 def run(capsys, *argv):
@@ -278,6 +280,13 @@ class TestExitCodes:
              "--stop-after 3",
          EXIT_USAGE, "usage error: stop_after 3 is below the resumed "
                      "iteration 16"),
+        *[({}, f"probe --ckpt {{ckpt}} --data {{tmp}}/big.mmp --probe {kind}",
+           EXIT_NUMERIC, "numerical error: 1 row(s) overflow the encoder to "
+                         "NaN or Inf, the first is row 7")
+          for kind in ("linear", "knn", "cluster")],
+        ({}, "pretrain --data {tmp}/big.mmp --out {tmp}/x.ckpt --epochs 1 "
+             "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8",
+         EXIT_NUMERIC, "numerical error: non-finite loss nan at iteration "),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -285,6 +294,10 @@ class TestExitCodes:
         corpus = load_corpus(corpus_file)
         save_corpus(PairedCorpus(corpus.modality1, corpus.modality2, None),
                     tmp_path / "unlabeled.mmp")
+        big = PairedCorpus(corpus.modality1.copy(), corpus.modality2,
+                           corpus.labels)
+        big.modality1[7] = 1.7e308  # finite, but overflows the encoder
+        save_corpus(big, tmp_path / "big.mmp")
         corpus.modality1[5, 0] = np.nan
         save_corpus(corpus, tmp_path / "nan.mmp")
         ckpt = load_checkpoint(trained_ckpt)
@@ -319,8 +332,9 @@ class TestCorruptFiles:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_single_bit_flip(self, files, target, position, bit, probe):
         """A flipped bit in either container ends as exit 0 or 1, except
-        that a flip making a probed (modality 1) corpus value NaN or Inf
-        ends as a numerical error."""
+        that a flip making a probed (modality 1) corpus value NaN or Inf,
+        or making the encoder overflow on a probed row (a value or weight
+        flipped to near the float64 maximum), ends as a numerical error."""
         root, corpus, ckpt = files
         blob = bytearray(ckpt if target == "ckpt" else corpus)
         blob[position % len(blob)] ^= 1 << bit
@@ -332,10 +346,11 @@ class TestCorruptFiles:
                      "--data", str(paths["corpus"]), "--probe", probe,
                      "--knn-k", "3"])
         try:
-            probed = load_corpus(paths["corpus"]).modality1
+            params = model_from_checkpoint(load_checkpoint(paths["ckpt"]))
+            z = embed(params, load_corpus(paths["corpus"]).modality1, 0).data
         except FormatError:
-            probed = np.zeros(1)
-        if np.isfinite(probed).all():
+            z = np.zeros(1)
+        if np.isfinite(z).all():
             assert code in (EXIT_OK, EXIT_IO)
         else:
             assert code == EXIT_NUMERIC
@@ -381,7 +396,7 @@ class TestGradcheck:
         assert "max_rel_err" in out
 
     def test_perturbed_gradient_fails(self, capsys, monkeypatch):
-        def faulty(loss, params):  # corrupts the matmul check's `a` gradient
+        def faulty(loss, params):  # corrupts the affine check's `a` gradient
             grads = backward(loss, params)
             if "a" in grads:
                 grads["a"] = grads["a"] + 0.5
@@ -390,7 +405,7 @@ class TestGradcheck:
         monkeypatch.setattr(gradcheck, "backward", faulty)
         code, out, _ = run(capsys, "gradcheck", "--seed", "0")
         assert code == EXIT_NUMERIC
-        assert "FAIL" in out and "matmul" in out
+        assert "FAIL" in out and "affine" in out
 
 
 class TestUsage:

@@ -191,3 +191,15 @@ class TestCorpusFile:
         with pytest.raises(FormatError,
                            match="^8 trailing bytes at offset 103224 of the corpus$"):
             load_corpus(path)
+
+    @pytest.mark.parametrize("offset", [21, 22, 23])
+    def test_padding_must_be_zero(self, tmp_path, offset):
+        path = tmp_path / "c.mmp"
+        save_corpus(generate(small_spec()), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset] = 0xff
+        path.write_bytes(bytes(blob))
+        with pytest.raises(
+                FormatError,
+                match=f"^nonzero corpus padding byte at offset {offset}$"):
+            load_corpus(path)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from mmproto.errors import UsageError
 from mmproto.model import (EncoderConfig, embed, init_params,
                            prototype_scores, renormalize_prototypes)
-from mmproto.numerics import (Tensor, backward, finite_difference,
-                              relative_gradient_error)
+from mmproto.numerics import (Tensor, backward, cross_entropy,
+                              finite_difference, relative_gradient_error)
 
 CFG = EncoderConfig(input_dims=(6, 9), hidden_dims=(8,), embed_dim=5)
 
@@ -63,12 +63,12 @@ class TestInit:
         params = init_params(EncoderConfig((6, 9), (8, 8), 5), k=4, seed=0)
         rng = np.random.default_rng(0)
         inputs = (rng.standard_normal((3, 6)), rng.standard_normal((3, 9)))
-        weights = Tensor(rng.standard_normal((3, 5)))
+        weights = rng.standard_normal((3, 5))
         shared = ("trunk0.w", "trunk0.b", "head0.w", "head0.b",
                   "head1.w", "head1.b")
         for m in (0, 1):
-            grads = backward((embed(params, inputs[m], m) * weights).sum(),
-                             params)
+            grads = backward(
+                cross_entropy(embed(params, inputs[m], m), weights), params)
             for name in (*shared, f"adapter{m + 1}.w", f"adapter{m + 1}.b"):
                 assert np.abs(grads[name]).max() > 0, (m, name)
             for name in (f"adapter{2 - m}.w", f"adapter{2 - m}.b"):
@@ -105,12 +105,13 @@ class TestEmbed:
         x = np.random.default_rng(2).standard_normal((3, 6))
         weights = np.random.default_rng(3).standard_normal((3, 5))
 
-        loss = (embed(params, x, 0) * Tensor(weights)).sum()
+        loss = cross_entropy(embed(params, x, 0), weights, 0.5)
         analytic = backward(loss, params)
 
         def scalar(values):
             p = {name: Tensor(v) for name, v in values.items()}
-            return float((embed(p, x, 0) * Tensor(weights)).sum().data[0, 0])
+            loss = cross_entropy(embed(p, x, 0), weights, 0.5)
+            return float(loss.data[0, 0])
 
         raw = {name: p.data for name, p in params.items()}
         numeric = finite_difference(scalar, raw)
@@ -119,14 +120,14 @@ class TestEmbed:
 
 class TestPrototypeScores:
     def test_hand_computed(self):
-        prototypes = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
         z = np.array([[0.6, 0.8]])
-        np.testing.assert_allclose(prototype_scores(z, prototypes).data,
+        np.testing.assert_allclose(prototype_scores(z, prototypes),
                                    [[0.6], [0.8]])
 
     def test_dim_mismatch(self):
         with pytest.raises(UsageError):
-            prototype_scores(np.zeros((3, 4)), Tensor(np.eye(2)))
+            prototype_scores(np.zeros((3, 4)), np.eye(2))
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -136,7 +137,7 @@ class TestPrototypeScores:
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         z = rng.standard_normal((5, 6))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        scores = prototype_scores(z, Tensor(c)).data
+        scores = prototype_scores(z, c)
         assert np.abs(scores).max() <= 1.0 + 1e-12
 
 

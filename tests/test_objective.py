@@ -8,7 +8,7 @@ from mmproto.model import EncoderConfig, embed, init_params
 from mmproto.numerics import Tensor, backward
 from mmproto.objective import (FeatureQueue, LossConfig, compute_batch_codes,
                                swapped_loss)
-from mmproto.sinkhorn import converged_config
+from mmproto.sinkhorn import SinkhornConfig, converged_config
 
 
 def unit_rows(rng, n, d):
@@ -258,3 +258,87 @@ class TestSwappedLoss:
         grads2 = backward(loss2, params2)
         for name in grads:
             np.testing.assert_allclose(grads[name], grads2[name], atol=1e-12)
+
+
+def sweep_step(seed=0):
+    """One `train_sweep3_k16`-shaped step: K=16, B=32, 32-wide inputs, a
+    96-wide hidden layer, D=16 and the default 3-sweep codes."""
+    rng = np.random.default_rng(seed)
+    params = init_params(EncoderConfig((32, 32), (96,), 16), k=16, seed=seed)
+    x1, x2 = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
+    cfg = LossConfig(temperature=0.2, sinkhorn=SinkhornConfig())
+    z1, z2 = embed(params, x1, 0), embed(params, x2, 1)
+    loss, _ = swapped_loss(z1, z2, params["prototypes"], None, cfg)
+    return params, (x1, x2), cfg, loss
+
+
+class TestTape:
+    def test_graph_size(self):
+        """The step's graph: three affine nodes and an l2 normalization per
+        modality, one loss node, nine parameters (47 nodes when every
+        matmul, add, relu, transpose and sum was a node of its own)."""
+        _, _, _, loss = sweep_step()
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) <= 20, len(seen)
+
+    def test_node_matches_unfused_reference(self):
+        """Value and gradients of the one loss node against numpy of the
+        unfused scores -> log-softmax -> weighted sum, with code rows that
+        do not sum to 1."""
+        rng = np.random.default_rng(14)
+        b, tau = 5, 0.1
+        z1, z2, c = (unit_rows(rng, n, 4) for n in (b, b, 3))
+        q1, q2 = (np.abs(rng.standard_normal((b, 3))) for _ in range(2))
+        params = {"z1": Tensor(z1), "z2": Tensor(z2), "c": Tensor(c)}
+        loss, _ = swapped_loss(params["z1"], params["z2"], params["c"], None,
+                               LossConfig(temperature=tau), codes=(q1, q2))
+
+        logp1, logp2 = log_softmax(z1 @ c.T, tau), log_softmax(z2 @ c.T, tau)
+        value = -((q2 * logp1).sum() + (q1 * logp2).sum()) / b
+        g_s = [(-q / b + np.exp(logp) * q.sum(axis=1, keepdims=True) / b)
+               / tau for q, logp in ((q2, logp1), (q1, logp2))]
+        ref = {"z1": g_s[0] @ c, "z2": g_s[1] @ c,
+               "c": g_s[0].T @ z1 + g_s[1].T @ z2}
+        assert abs(loss.data[0, 0] - value) <= 1e-12 * abs(value)
+        grads = backward(loss, params)
+        for name in ref:
+            scale = np.abs(ref[name]).max()
+            assert np.abs(grads[name] - ref[name]).max() <= 1e-12 * scale
+
+    def test_shared_gradient_is_sum_of_both_views(self):
+        """head0.w's gradient through both views is the sum of the
+        gradients through each view alone: the first contribution is kept,
+        the second added."""
+        params, (x1, x2), cfg, _ = sweep_step(1)
+        z1, z2 = embed(params, x1, 0), embed(params, x2, 1)
+        codes = tuple(compute_batch_codes(z.data, params["prototypes"].data,
+                                          None, cfg.sinkhorn)[0]
+                      for z in (z1, z2))
+
+        def head_grad(v1, v2):
+            loss, _ = swapped_loss(v1, v2, params["prototypes"], None, cfg,
+                                   codes=codes)
+            return backward(loss, params)["head0.w"]
+
+        both = head_grad(z1, z2)
+        only1 = head_grad(z1, Tensor(z2.data))
+        only2 = head_grad(Tensor(z1.data), z2)
+        assert np.abs(only1).max() > 0 and np.abs(only2).max() > 0
+        np.testing.assert_array_equal(both, only1 + only2)
+
+    def test_mutated_gradient_leaves_graph_intact(self):
+        """Changing the gradients `backward` returned does not change what
+        a second sweep of the same graph returns."""
+        params, _, _, loss = sweep_step(2)
+        first = backward(loss, params)
+        kept = {name: g.copy() for name, g in first.items()}
+        for g in first.values():
+            g += 1.0
+        second = backward(loss, params)
+        for name in kept:
+            np.testing.assert_array_equal(second[name], kept[name])
