@@ -143,36 +143,33 @@ def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
                        _per_class(pred, truth), len(train_idx), len(test_idx))
 
 
-def normalized_mutual_information(a: np.ndarray, b: np.ndarray) -> float:
-    """NMI with arithmetic-mean normalization, natural log."""
-    n = len(a)
+def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Counts of each (value of a, value of b) pair, over the values seen."""
     a_vals, a_inv = np.unique(a, return_inverse=True)
     b_vals, b_inv = np.unique(b, return_inverse=True)
-    joint = np.zeros((len(a_vals), len(b_vals)))
-    np.add.at(joint, (a_inv, b_inv), 1.0)
-    joint /= n
+    shape = (len(a_vals), len(b_vals))
+    cells = np.bincount(a_inv * shape[1] + b_inv, minlength=shape[0] * shape[1])
+    return cells.reshape(shape).astype(np.float64)
+
+
+def normalized_mutual_information(a: np.ndarray, b: np.ndarray) -> float:
+    """NMI with arithmetic-mean normalization, natural log."""
+    joint = _contingency(a, b) / len(a)
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
-
-    mi = 0.0
-    for i in range(len(a_vals)):
-        for j in range(len(b_vals)):
-            if joint[i, j] > 0:
-                mi += joint[i, j] * np.log(joint[i, j] / (pa[i] * pb[j]))
-    ha = float(-(pa[pa > 0] * np.log(pa[pa > 0])).sum())
-    hb = float(-(pb[pb > 0] * np.log(pb[pb > 0])).sum())
+    i, j = np.nonzero(joint)
+    cell = joint[i, j]
+    mi = float((cell * np.log(cell / (pa[i] * pb[j]))).sum())
+    ha = float(-(pa * np.log(pa)).sum())  # every value occurs: pa > 0
+    hb = float(-(pb * np.log(pb)).sum())
     denom = 0.5 * (ha + hb)
     if denom == 0.0:
-        return 1.0 if mi == 0.0 and len(a_vals) == len(b_vals) == 1 else 0.0
+        return 1.0 if mi == 0.0 and joint.shape == (1, 1) else 0.0
     return float(max(0.0, min(1.0, mi / denom)))
 
 
 def purity_score(pred: np.ndarray, truth: np.ndarray) -> float:
-    total = 0
-    for cluster in np.unique(pred):
-        members = truth[pred == cluster]
-        total += np.bincount(members).max()
-    return float(total) / len(truth)
+    return float(_contingency(pred, truth).max(axis=1).sum()) / len(truth)
 
 
 def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus,

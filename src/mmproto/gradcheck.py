@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
 from .model import EncoderConfig, embed, init_params
 from .numerics import (Tensor, affine, backward, cross_entropy,
                        finite_difference, relative_gradient_error)
@@ -46,6 +47,8 @@ def _check(name, build_loss, params) -> CheckResult:
 
 
 def run_suite(seed: int = 0) -> list[CheckResult]:
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
 
@@ -75,6 +78,12 @@ def _full_loss_check(name: str, seed: int, use_queue: bool) -> CheckResult:
     """End-to-end swapped loss (B=4, K=8, D=5) against finite differences."""
     cfg = EncoderConfig(input_dims=(6, 6), hidden_dims=(7,), embed_dim=5)
     params = init_params(cfg, 8, seed + 1)
+    # init_params zeroes the biases, so a sample with no active hidden unit
+    # embeds to the zero vector, where l2_normalize_rows has no derivative
+    bias_rng = np.random.default_rng(seed + 3)
+    for key, p in params.items():
+        if key.endswith(".b"):
+            p.data[...] = 0.1 * bias_rng.standard_normal(p.shape)
     rng = np.random.default_rng(seed + 2)
     x1 = rng.standard_normal((4, 6))
     x2 = rng.standard_normal((4, 6))

@@ -8,12 +8,13 @@ zeroed for an initial freeze window so the codes stabilize before the
 cluster centers move. Once the queue feeds the codes, each converged code
 solve starts from the prototype potentials of the previous step's solve for
 its modality: consecutive problems then share all but one batch of their
-columns. Every piece of run state needed to resume bit-exactly lives in the
-checkpoint, including the feature queue, the potentials and the momentum
-buffers.
+columns. The checkpoint is the run state: `train` advances a copy of it in
+place, so the parameters, momentum buffers, feature queue and potentials
+that a bit-exact resume needs are the ones the file holds.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import struct
 from dataclasses import dataclass, field
@@ -54,6 +55,8 @@ class TrainConfig:
                 f"base_lr must be finite and >= 0, got {self.base_lr}")
         if not 0 <= self.momentum < 1:
             raise UsageError(f"momentum must be in [0,1), got {self.momentum}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -74,15 +77,12 @@ class MetricsRecord:
 
 @dataclass
 class Checkpoint:
-    version: int
+    """The run state: `train` advances one of these in place."""
     config: TrainConfig
     params: dict  # name -> ndarray
     momentum_buffers: dict  # name -> ndarray
+    queue: FeatureQueue
     iteration: int
-    queue_m1: np.ndarray
-    queue_m2: np.ndarray
-    queue_fill: int
-    queue_cursor: int
     potentials: tuple[np.ndarray, np.ndarray] | None  # None: next start cold
 
 
@@ -197,40 +197,6 @@ def _resolve(cfg: TrainConfig, steps_per_epoch: int) -> tuple[int, int]:
     return freeze, queue_start
 
 
-def _build(cfg: TrainConfig) -> tuple[dict, FeatureQueue]:
-    """Fresh named parameters and an empty feature queue."""
-    params = init_params(cfg.encoder, cfg.k_prototypes, cfg.seed)
-    return params, FeatureQueue(cfg.loss.queue_length, cfg.encoder.embed_dim)
-
-
-def _snapshot(config: TrainConfig, params: dict, velocity: dict,
-              iteration: int, queue: FeatureQueue,
-              potentials: tuple | None) -> Checkpoint:
-    """Copy the run state into a checkpoint."""
-    return Checkpoint(
-        version=CHECKPOINT_VERSION, config=config,
-        params={name: p.data.copy() for name, p in params.items()},
-        momentum_buffers={name: v.copy() for name, v in velocity.items()},
-        iteration=iteration,
-        queue_m1=queue.buffers[0].copy(), queue_m2=queue.buffers[1].copy(),
-        queue_fill=queue.fill, queue_cursor=queue.cursor,
-        potentials=potentials)  # never modified in place: no copy needed
-
-
-def _restore(ckpt: Checkpoint, params: dict, velocity: dict,
-             queue: FeatureQueue) -> tuple[int, tuple | None]:
-    """Copy a checkpoint into the run state; returns its iteration and
-    potentials."""
-    for name, p in params.items():
-        p.data[...] = ckpt.params[name]
-    for name, v in velocity.items():
-        v[...] = ckpt.momentum_buffers[name]
-    queue.buffers[0][...] = ckpt.queue_m1
-    queue.buffers[1][...] = ckpt.queue_m2
-    queue.fill, queue.cursor = ckpt.queue_fill, ckpt.queue_cursor
-    return ckpt.iteration, ckpt.potentials
-
-
 def train(corpus: PairedCorpus, config: TrainConfig,
           resume_from: Checkpoint | None = None,
           metrics_sink=None,
@@ -255,17 +221,20 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                                                          total_steps)
     freeze_iters, queue_start = _resolve(config, steps_per_epoch)
 
-    params, queue = _build(config)
-    velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-    iteration, potentials = 0, None
-    if resume_from is not None:
+    if resume_from is None:
+        ckpt = random_init_checkpoint(config)
+    else:
         if resume_from.config != config:
             raise UsageError("resume config differs from checkpoint config")
         if stop_after is not None and stop_after < resume_from.iteration:
             raise UsageError(f"stop_after {stop_after} is below the resumed "
                              f"iteration {resume_from.iteration}")
-        iteration, potentials = _restore(resume_from, params, velocity,
-                                         queue)
+        ckpt = copy.deepcopy(resume_from)
+    params = {name: Tensor(value) for name, value in ckpt.params.items()}
+    # the arrays that the updates write, also where Tensor converted one
+    ckpt.params = {name: p.data for name, p in params.items()}
+    velocity, queue = ckpt.momentum_buffers, ckpt.queue
+    iteration, potentials = ckpt.iteration, ckpt.potentials
 
     metrics: list[MetricsRecord] = []
 
@@ -322,8 +291,8 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                 metrics_sink(record)
             iteration += 1
 
-    return (_snapshot(config, params, velocity, iteration, queue,
-                      potentials), metrics)
+    ckpt.iteration, ckpt.potentials = iteration, potentials
+    return ckpt, metrics
 
 
 def _code_usage_entropy(z1: np.ndarray, z2: np.ndarray,
@@ -344,9 +313,13 @@ def model_from_checkpoint(ckpt: Checkpoint) -> dict:
 
 def random_init_checkpoint(config: TrainConfig) -> Checkpoint:
     """Checkpoint of a freshly initialized (untrained) model."""
-    params, queue = _build(config)
-    velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
-    return _snapshot(config, params, velocity, 0, queue, None)
+    params = {name: p.data for name, p in
+              init_params(config.encoder, config.k_prototypes,
+                          config.seed).items()}
+    return Checkpoint(
+        config, params, {name: np.zeros_like(p) for name, p in params.items()},
+        FeatureQueue(config.loss.queue_length, config.encoder.embed_dim),
+        iteration=0, potentials=None)
 
 
 # ---- checkpoint serialization -------------------------------------------
@@ -364,11 +337,11 @@ def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     tensors = [(f"param.{n}", ckpt.params[n]) for n in sorted(ckpt.params)]
     tensors += [(f"mom.{n}", ckpt.momentum_buffers[n])
                 for n in sorted(ckpt.momentum_buffers)]
-    tensors += [("queue.m1", ckpt.queue_m1), ("queue.m2", ckpt.queue_m2)]
+    tensors += zip(("queue.m1", "queue.m2"), ckpt.queue.buffers)
     if ckpt.potentials is not None:
         tensors += zip(POTENTIALS, ckpt.potentials)
-    state = np.array([float(ckpt.iteration), float(ckpt.queue_fill),
-                      float(ckpt.queue_cursor)])
+    state = np.array([float(ckpt.iteration), float(ckpt.queue.fill),
+                      float(ckpt.queue.cursor)])
     return tensors + [("state", state)]
 
 
@@ -377,7 +350,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
     cfg_text = config_to_text(ckpt.config).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", ckpt.version))
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
         f.write(struct.pack("<I", len(cfg_text)))
         f.write(cfg_text)
         f.write(struct.pack("<I", len(tensors)))
@@ -393,14 +366,16 @@ def load_checkpoint(path) -> Checkpoint:
     reader = Reader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     cfg_text = reader.bytes(reader.u32("config length"), "config text")
     try:
-        config = config_from_text(cfg_text.decode("utf-8"))
-        shapes = {name: arr.shape for name, arr
-                  in _tensors(random_init_checkpoint(config))}
-        shapes.update((name, (config.k_prototypes,)) for name in POTENTIALS)
+        ckpt = random_init_checkpoint(
+            config_from_text(cfg_text.decode("utf-8")))
     except (UnicodeDecodeError, UsageError) as exc:
         raise FormatError(f"bad config text at offset 12: {exc}") from None
+    # each record is read into the array that save_checkpoint writes it from
+    slots = dict(_tensors(ckpt))
+    slots.update((name, np.zeros(ckpt.config.k_prototypes))
+                 for name in POTENTIALS)
 
-    tensors: dict[str, np.ndarray] = {}
+    seen = set()
     for _ in range(reader.u32("tensor count")):
         name_len = reader.u32("tensor name length")
         at = reader.offset
@@ -409,40 +384,36 @@ def load_checkpoint(path) -> Checkpoint:
         except UnicodeDecodeError:
             raise FormatError(
                 f"tensor name at offset {at} is not UTF-8") from None
-        if name not in shapes or name in tensors:
+        if name not in slots or name in seen:
             raise FormatError(f"unexpected tensor {name!r} at offset {at}")
+        seen.add(name)
         rank = reader.u32(f"rank of {name}")
         if rank > 2:
             raise FormatError(f"rank {rank} of {name} at offset "
                               f"{reader.offset - 4} exceeds 2")
         dims = tuple(reader.array("<u4", (rank,), f"shape of {name}").tolist())
-        if dims != shapes[name]:
+        if dims != slots[name].shape:
             raise FormatError(f"tensor {name} has shape {dims}, its config "
-                              f"builds {shapes[name]}")
-        tensors[name] = reader.array("<f8", dims, f"data of {name}")
-        if not np.isfinite(tensors[name]).all():
+                              f"builds {slots[name].shape}")
+        slots[name][...] = reader.array("<f8", dims, f"data of {name}")
+        if not np.isfinite(slots[name]).all():
             raise FormatError(f"tensor {name} at offset {at} holds NaN or Inf")
     reader.end()
-    missing = shapes.keys() - tensors.keys()
+    missing = slots.keys() - seen
     if set(POTENTIALS) <= missing:
         missing -= set(POTENTIALS)  # a run that holds no potentials yet
+    else:
+        ckpt.potentials = tuple(slots[name] for name in POTENTIALS)
     if missing:
         raise FormatError(f"missing tensors: {', '.join(sorted(missing))}")
 
-    iteration, fill, cursor = tensors["state"]
-    if not (all(x >= 0 and float(x).is_integer() for x in tensors["state"])
-            and fill <= config.loss.queue_length
-            and cursor < max(config.loss.queue_length, 1)):
-        raise FormatError(f"tensor state holds no valid run state: "
-                          f"{tensors['state'].tolist()}")
-    params = {k[len("param."):]: v for k, v in tensors.items()
-              if k.startswith("param.")}
-    moms = {k[len("mom."):]: v for k, v in tensors.items()
-            if k.startswith("mom.")}
-    return Checkpoint(
-        version=reader.version, config=config, params=params,
-        momentum_buffers=moms, iteration=int(iteration),
-        queue_m1=tensors["queue.m1"], queue_m2=tensors["queue.m2"],
-        queue_fill=int(fill), queue_cursor=int(cursor),
-        potentials=None if POTENTIALS[0] not in tensors else tuple(
-            tensors[name] for name in POTENTIALS))
+    state = slots["state"]
+    iteration, fill, cursor = state
+    if not (all(x >= 0 and float(x).is_integer() for x in state)
+            and fill <= ckpt.queue.capacity
+            and cursor < max(ckpt.queue.capacity, 1)):
+        raise FormatError(
+            f"tensor state holds no valid run state: {state.tolist()}")
+    ckpt.iteration = int(iteration)
+    ckpt.queue.fill, ckpt.queue.cursor = int(fill), int(cursor)
+    return ckpt

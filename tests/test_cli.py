@@ -287,6 +287,13 @@ class TestExitCodes:
         ({}, "pretrain --data {tmp}/big.mmp --out {tmp}/x.ckpt --epochs 1 "
              "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8",
          EXIT_NUMERIC, "numerical error: non-finite loss nan at iteration "),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --seed -1",
+         EXIT_USAGE, "usage error: seed must be >= 0, got -1"),
+        ({"train.cfg": "seed=-1\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE, "usage error: seed must be >= 0, got -1"),
+        ({}, "gradcheck --seed -1",
+         EXIT_USAGE, "usage error: seed must be >= 0, got -1"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -394,6 +401,13 @@ class TestGradcheck:
         assert code == EXIT_OK
         assert "pass" in out and "FAIL" not in out
         assert "max_rel_err" in out
+
+    @pytest.mark.parametrize("seed", [0, 4, 10, 17, 25, 26, 31, 32])
+    def test_correct_tape_passes_on_every_seed(self, seed):
+        """With zero biases, seeds 17, 31 and 32 embedded a sample to the
+        zero vector and 4, 10, 25 and 26 showed truncation error."""
+        for result in gradcheck.run_suite(seed):
+            assert result.passed, (result.op, result.max_relative_error)
 
     def test_perturbed_gradient_fails(self, capsys, monkeypatch):
         def faulty(loss, params):  # corrupts the affine check's `a` gradient

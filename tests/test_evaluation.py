@@ -100,7 +100,49 @@ class TestKnnProbe:
         assert 0.0 <= report.accuracy <= 1.0
 
 
+def cellwise_nmi(a, b):
+    """NMI summed cell by cell in Python: the reference for the table."""
+    n = len(a)
+    a_vals, a_inv = np.unique(a, return_inverse=True)
+    b_vals, b_inv = np.unique(b, return_inverse=True)
+    joint = np.zeros((len(a_vals), len(b_vals)))
+    np.add.at(joint, (a_inv, b_inv), 1.0)
+    joint /= n
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    mi = 0.0
+    for i in range(len(a_vals)):
+        for j in range(len(b_vals)):
+            if joint[i, j] > 0:
+                mi += joint[i, j] * np.log(joint[i, j] / (pa[i] * pb[j]))
+    ha = float(-(pa[pa > 0] * np.log(pa[pa > 0])).sum())
+    hb = float(-(pb[pb > 0] * np.log(pb[pb > 0])).sum())
+    denom = 0.5 * (ha + hb)
+    if denom == 0.0:
+        return 1.0 if mi == 0.0 and len(a_vals) == len(b_vals) == 1 else 0.0
+    return float(max(0.0, min(1.0, mi / denom)))
+
+
+def membership_purity(pred, truth):
+    """Purity counted cluster by cluster: the reference for the table."""
+    total = 0
+    for cluster in np.unique(pred):
+        total += np.bincount(truth[pred == cluster]).max()
+    return float(total) / len(truth)
+
+
 class TestNmi:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_cellwise_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        a = rng.integers(0, int(rng.integers(1, 40)), size=n)
+        b = rng.integers(0, int(rng.integers(1, 10)), size=n)
+        assert abs(normalized_mutual_information(a, b)
+                   - cellwise_nmi(a, b)) <= 1e-14
+        assert purity_score(a, b) == membership_purity(a, b)
+
     def test_identical_assignments(self):
         a = np.array([0, 0, 1, 1, 2, 2])
         assert normalized_mutual_information(a, a) == pytest.approx(1.0)

@@ -12,7 +12,7 @@ from mmproto.trainer import (CHECKPOINT_VERSION, Checkpoint, TrainConfig,
                              config_from_text, config_to_text, cosine_lr,
                              epoch_shuffle_seed, load_checkpoint,
                              model_from_checkpoint, random_init_checkpoint,
-                             save_checkpoint, train)
+                             save_checkpoint, train, _tensors)
 
 
 def tiny_corpus(seed=5, n=48):
@@ -36,25 +36,11 @@ def tiny_config(**kw):
 
 
 def checkpoints_equal(a: Checkpoint, b: Checkpoint) -> bool:
-    if a.config != b.config or a.iteration != b.iteration:
-        return False
-    if set(a.params) != set(b.params):
-        return False
-    for name in a.params:
-        if not (a.params[name] == b.params[name]).all():
-            return False
-    for name in a.momentum_buffers:
-        if not (a.momentum_buffers[name] == b.momentum_buffers[name]).all():
-            return False
-    if (a.potentials is None) != (b.potentials is None):
-        return False
-    if a.potentials is not None and not all(
-            (u == w).all() for u, w in zip(a.potentials, b.potentials)):
-        return False
-    return ((a.queue_m1 == b.queue_m1).all()
-            and (a.queue_m2 == b.queue_m2).all()
-            and a.queue_fill == b.queue_fill
-            and a.queue_cursor == b.queue_cursor)
+    """Equal configs and equal named arrays, exactly as the file holds them."""
+    ta, tb = _tensors(a), _tensors(b)
+    return (a.config == b.config
+            and [name for name, _ in ta] == [name for name, _ in tb]
+            and all(np.array_equal(x, y) for (_, x), (_, y) in zip(ta, tb)))
 
 
 class TestConfig:
@@ -173,8 +159,8 @@ class TestTrain:
         cfg = dataclasses.replace(cfg, loss=dataclasses.replace(
             cfg.loss, queue_length=capacity))
         ckpt, metrics = train(tiny_corpus(), cfg, stop_after=steps)
-        assert ckpt.queue_fill == min(steps * 8, capacity)
-        assert ckpt.queue_cursor == (steps * 8) % max(capacity, 1)
+        assert ckpt.queue.fill == min(steps * 8, capacity)
+        assert ckpt.queue.cursor == (steps * 8) % max(capacity, 1)
         assert ([m.queue_fill for m in metrics]
                 == [min(i * 8, capacity) for i in range(1, steps + 1)])
 
@@ -366,7 +352,7 @@ class TestCheckpointFile:
     def test_bad_run_state(self, tmp_path):
         path = tmp_path / "x.ckpt"
         ckpt = random_init_checkpoint(tiny_config())
-        ckpt.queue_fill = 17  # above the queue length of 16
+        ckpt.queue.fill = 17  # above the queue length of 16
         save_checkpoint(ckpt, path)
         with pytest.raises(FormatError, match="tensor state"):
             load_checkpoint(path)
@@ -382,7 +368,7 @@ class TestCheckpointFile:
         ckpt = random_init_checkpoint(tiny_config())
         params = model_from_checkpoint(ckpt)
         assert params["prototypes"].shape[0] == 4
-        assert ckpt.queue_fill == 0
+        assert ckpt.queue.fill == 0
         assert ckpt.iteration == 0
 
 
