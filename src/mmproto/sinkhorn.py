@@ -46,14 +46,24 @@ class CodeMatrix:
 
     A converged-mode solve also reports its final prototype potentials `u`
     (log row scalings, length K), which can start a later solve, the Newton
-    steps it took, and whether its marginal residual reached the tolerance.
-    Fixed-sweep codes carry no potentials and report `converged` False.
+    steps it took, whether its marginal residual reached the tolerance, and
+    its fallbacks: line-search trials rejected (`backtracks`), sweeps taken
+    after all 40 backtracks of a step failed (`fallback_sweeps`), and
+    Newton systems solved by least squares because they were singular
+    (`lstsq_fallbacks`). `residual` is its final marginal residual. Fixed
+    sweeps and the single-row or single-column closed form carry no
+    potentials, count nothing and report a NaN residual; fixed-sweep codes
+    report `converged` False.
     """
 
     q: np.ndarray
     u: np.ndarray | None = None
     newton_steps: int = 0
     converged: bool = False
+    backtracks: int = 0
+    fallback_sweeps: int = 0
+    lstsq_fallbacks: int = 0
+    residual: float = float("nan")
 
     def marginal_deviation(self) -> tuple[float, float]:
         """(max row-sum deviation from 1/K, max col-sum deviation from 1/B)."""
@@ -85,6 +95,8 @@ def compute_codes(scores, config: SinkhornConfig,
     k, b = scores.shape
     if start is not None and np.shape(start) != (k,):
         raise UsageError(f"start potentials {np.shape(start)} for {k} rows")
+    if start is not None and not np.isfinite(start).all():
+        raise UsageError("start potentials contain NaN or Inf")
     tol = config.convergence_tolerance
     if min(k, b) == 1:
         return CodeMatrix(np.full((k, b), 1.0 / (k * b)), converged=True)
@@ -107,8 +119,10 @@ def compute_codes(scores, config: SinkhornConfig,
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along `axis`, computed in place: overwrites `a`."""
     m = a.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))
+    a -= m
+    out = m + np.log(np.exp(a, out=a).sum(axis=axis, keepdims=True))
     return np.squeeze(out, axis=axis)
 
 
@@ -118,16 +132,29 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
     marginals, via Newton steps on the potentials. A cold solve enters with
     log-domain sweeps from u = v = 0; a warm one centres `start` as u and
     fits v to it with one column half-sweep (Thornton & Cuturi,
-    arXiv:2206.07630)."""
+    arXiv:2206.07630).
+
+    Besides `log_kernel` the solve holds two K x B arrays, allocated once:
+    `m`, the current kernel (and each line-search trial, which nothing
+    reads after a rejection), and `work`, the scratch of the sweeps and of
+    the Newton step. The Newton loop allocates no K x B array."""
     k, b = log_kernel.shape
     log_r, log_c = -np.log(k), -np.log(b)
+    m = np.empty_like(log_kernel)
+    work = np.empty_like(log_kernel)
 
     def column_sweep(u):
-        return log_c - _logsumexp(log_kernel + u[:, None], axis=0)
+        return log_c - _logsumexp(
+            np.add(log_kernel, u[:, None], out=work), axis=0)
 
     def sweep(u, v):
-        u = log_r - _logsumexp(log_kernel + v[None, :], axis=1)
+        u = log_r - _logsumexp(
+            np.add(log_kernel, v[None, :], out=work), axis=1)
         return u, column_sweep(u)
+
+    def log_m(u, v):  # log_kernel + u + v, into m
+        return np.add(np.add(log_kernel, u[:, None], out=m), v[None, :],
+                      out=m)
 
     if start is None:
         u, v = np.zeros(k), np.zeros(b)
@@ -139,36 +166,43 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
 
     r = np.full(k, 1.0 / k)
     c = np.full(b, 1.0 / b)
-    m = np.exp(log_kernel + u[:, None] + v[None, :])
+    np.exp(log_m(u, v), out=m)
     row, col = m.sum(axis=1), m.sum(axis=0)
-    steps = 0
+    steps = backtracks = fallback_sweeps = lstsq_fallbacks = 0
     while True:
         residual = max(np.abs(row - r).max(), np.abs(col - c).max())
         if residual < tol or steps == max_iterations:
-            return CodeMatrix(m, u, steps, bool(residual < tol))
+            return CodeMatrix(m, u, steps, bool(residual < tol), backtracks,
+                              fallback_sweeps, lstsq_fallbacks,
+                              float(residual))
         steps += 1
-        du, dv = _newton_step(m, row, col, row - r, (col - c)[:-1])
+        du, dv, exact = _newton_step(m, row, col, row - r, (col - c)[:-1],
+                                     work)
+        lstsq_fallbacks += not exact
 
         t = 1.0
         for _ in range(40):  # backtrack on the marginal residual
             ut, vt = u + t * du, v + t * dv
-            mt = log_kernel + ut[:, None] + vt[None, :]
-            np.exp(np.minimum(mt, 60.0, out=mt), out=mt)
-            rowt, colt = mt.sum(axis=1), mt.sum(axis=0)
+            np.exp(np.minimum(log_m(ut, vt), 60.0, out=m), out=m)
+            rowt, colt = m.sum(axis=1), m.sum(axis=0)
             trial = max(np.abs(rowt - r).max(), np.abs(colt - c).max())
             if np.isfinite(trial) and trial < residual:
                 # an accepted trial never hit the clamp (its mass would
-                # exceed e^60), so it is exactly the next iterate's m
-                u, v, m, row, col = ut, vt, mt, rowt, colt
+                # exceed e^60), so m now holds exactly the next iterate's
+                # kernel; a rejected one is overwritten by the next trial
+                # or by the fallback sweep
+                u, v, row, col = ut, vt, rowt, colt
                 break
+            backtracks += 1
             t *= 0.5
         else:
+            fallback_sweeps += 1
             u, v = sweep(u, v)
-            m = np.exp(log_kernel + u[:, None] + v[None, :])
+            np.exp(log_m(u, v), out=m)
             row, col = m.sum(axis=1), m.sum(axis=0)
 
 
-def _newton_step(m, row, col, g_u, g_v):
+def _newton_step(m, row, col, g_u, g_v, work):
     """Newton step (du, dv) on the potentials for the system
     [[diag(row), M'], [M'^T, diag(col')]] (du, dv') = -(g_u, g_v), where
     M' and col' drop the last column, whose v is pinned (dv[-1] = 0) to
@@ -176,23 +210,35 @@ def _newton_step(m, row, col, g_u, g_v):
 
     Both diagonal blocks are diagonal, so the larger one is eliminated and
     only the min(K, B-1)-sized Schur complement is factorized (Brauer,
-    Clason, Lorenz & Wirth, arXiv:1710.06635).
+    Clason, Lorenz & Wirth, arXiv:1710.06635). The Schur complement is a
+    diagonal minus a Gram product of M' scaled by the eliminated block's
+    inverse, formed by BLAS syrk; the scaled copy of M' is written into
+    `work` (K x B, overwritten). Returns (du, dv, exact), where `exact` is
+    False when the Schur complement was singular and least squares solved
+    it.
     """
     k, b = m.shape
-    mp, cp = m[:, :-1], col[:-1]
+    mp, cp, wp = m[:, :-1], col[:-1], work[:, :-1]
     if k <= b - 1:
-        a = mp / cp
-        du = _solve(np.diag(row) - a @ mp.T, a @ g_v - g_u)
-        dv = (-g_v - mp.T @ du) / cp
+        du, dv, exact = _schur_solve(mp, row, cp, g_u, g_v, wp)
     else:
-        a = mp / row[:, None]
-        dv = _solve(np.diag(cp) - mp.T @ a, a.T @ g_u - g_v)
-        du = (-g_u - mp @ dv) / row
-    return du, np.append(dv, 0.0)
+        dv, du, exact = _schur_solve(mp.T, cp, row, g_v, g_u, wp.T)
+    return du, np.append(dv, 0.0), exact
 
 
-def _solve(h, rhs):
+def _schur_solve(a, d, e, g, h, w):
+    """(x, y, exact) solving [[diag(d), a], [a^T, diag(e)]] (x, y) = -(g, h)
+    by eliminating y: (diag(d) - a diag(1/e) a^T) x = a (h / e) - g. The
+    Gram product is W W^T with W = a diag(e)^(-1/2) written into `w` (the
+    shape of `a`): one buffer times its own transpose, which numpy hands to
+    BLAS syrk (one triangle, about half the work of a general product)."""
+    np.divide(a, np.sqrt(e), out=w)
+    s = w @ w.T
+    rhs = a @ (h / e) - g
+    np.negative(s, out=s)
+    s.flat[::len(d) + 1] += d
     try:
-        return np.linalg.solve(h, rhs)
+        x, exact = np.linalg.solve(s, rhs), True
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(h, rhs, rcond=None)[0]
+        x, exact = np.linalg.lstsq(s, rhs, rcond=None)[0], False
+    return x, (-h - a.T @ x) / e, exact

@@ -170,15 +170,18 @@ class TestNewtonStep:
         m /= m.sum()
         row, col = m.sum(axis=1), m.sum(axis=0)
         g_u, g_v = row - 1.0 / k, (col - 1.0 / b)[:-1]
-        du, dv = sinkhorn._newton_step(m, row, col, g_u, g_v)
+        du, dv, exact = sinkhorn._newton_step(m, row, col, g_u, g_v,
+                                              np.empty_like(m))
         ref_u, ref_v = dense_newton_step(m, row, col, g_u, g_v)
         step, ref = np.concatenate([du, dv]), np.concatenate([ref_u, ref_v])
-        assert dv[-1] == 0.0
+        assert dv[-1] == 0.0 and exact
         assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("k,b", [(64, 1024), (1024, 64)])
     def test_peak_memory_linear_in_kernel(self, k, b, monkeypatch):
-        # a dense (K+B-1)^2 Newton system alone is 18x K*B*8 bytes here
+        # a dense (K+B-1)^2 Newton system alone is 18x K*B*8 bytes here;
+        # log_kernel, m and work are 3x, so 4x leaves no room for a K x B
+        # temporary
         steps = []
         newton_step = sinkhorn._newton_step
 
@@ -196,7 +199,7 @@ class TestNewtonStep:
             tracemalloc.stop()
         assert steps, "the Newton path was not exercised"
         assert max(codes.marginal_deviation()) < 1e-6
-        assert peak < 16 * k * b * 8, f"peak {peak / (k * b * 8):.1f} x K*B*8"
+        assert peak < 4 * k * b * 8, f"peak {peak / (k * b * 8):.2f} x K*B*8"
 
 
 class TestDiagnostics:
@@ -233,6 +236,55 @@ class TestDiagnostics:
         with pytest.raises(UsageError, match=r"start potentials \(3,\)"):
             compute_codes(np.zeros((4, 5)), converged_config(EPS),
                           start=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_rejected(self, bad):
+        start = np.zeros(6)
+        start[0] = bad
+        with pytest.raises(UsageError, match="start potentials contain"):
+            compute_codes(random_scores(np.random.default_rng(4), 6, 9),
+                          converged_config(EPS), start=start)
+
+    def test_converged_solve_reports_its_residual(self):
+        scores = random_scores(np.random.default_rng(6), 16, 288)
+        codes = compute_codes(scores, converged_config(EPS))
+        assert codes.converged
+        assert codes.residual == pytest.approx(max(codes.marginal_deviation()),
+                                               rel=1e-6)
+        assert codes.residual < 1e-8
+        assert codes.fallback_sweeps == codes.lstsq_fallbacks == 0
+
+    def test_fixed_sweeps_count_nothing(self):
+        codes = compute_codes(random_scores(np.random.default_rng(5), 4, 5),
+                              SinkhornConfig())
+        assert codes.backtracks == codes.fallback_sweeps == 0
+        assert codes.lstsq_fallbacks == 0 and np.isnan(codes.residual)
+
+    def test_singular_newton_systems_counted(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(sinkhorn.np.linalg, "solve", singular)
+        codes = compute_codes(random_scores(np.random.default_rng(4), 6, 9),
+                              converged_config(EPS))
+        assert codes.converged and codes.newton_steps > 0
+        assert codes.lstsq_fallbacks == codes.newton_steps
+        assert max(codes.marginal_deviation()) < 1e-8
+
+    def test_failed_line_searches_counted(self, monkeypatch):
+        """A zero Newton step never lowers the residual: each step rejects
+        all 40 trials and falls back to a sweep, which converges at
+        epsilon 1."""
+        def zero_step(m, row, col, g_u, g_v, work):
+            return np.zeros_like(row), np.zeros_like(col), True
+
+        monkeypatch.setattr(sinkhorn, "_newton_step", zero_step)
+        codes = compute_codes(random_scores(np.random.default_rng(4), 6, 9),
+                              converged_config(1.0))
+        assert codes.converged and codes.newton_steps > 0
+        assert codes.fallback_sweeps == codes.newton_steps
+        assert codes.backtracks == 40 * codes.newton_steps
+        assert codes.lstsq_fallbacks == 0
 
 
 class TestEntropy:

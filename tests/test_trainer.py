@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmproto.data import CorpusSpec, generate
+import mmproto
+from mmproto.data import CorpusSpec, generate, save_corpus
 from mmproto.errors import FormatError, NumericalAbort, UsageError
 from mmproto.model import EncoderConfig
 from mmproto.objective import LossConfig
@@ -379,3 +384,36 @@ class TestEpochShuffleSeed:
 
     def test_deterministic(self):
         assert epoch_shuffle_seed(7, 9) == epoch_shuffle_seed(7, 9)
+
+
+def test_converged_checkpoint_independent_of_blas_threads(tmp_path):
+    """A short converged run with B = 32 batch + 256 queue rows writes the
+    same checkpoint bytes under one OpenBLAS thread as under two."""
+    corpus = tmp_path / "corpus.mmp"
+    save_corpus(generate(CorpusSpec(n_samples=640, n_latent_clusters=8,
+                                    latent_dim=16, d1=32, d2=32,
+                                    noise_sigma=0.05, seed=123)), corpus)
+    cfg = TrainConfig(
+        epochs=3, batch_size=32, base_lr=0.3, momentum=0.9,
+        prototype_freeze_iterations=-1,
+        loss=LossConfig(temperature=0.2, sinkhorn=converged_config(0.05),
+                        queue_length=256, queue_start_iteration=-1),
+        k_prototypes=16,
+        encoder=EncoderConfig(input_dims=(32, 32), hidden_dims=(96,),
+                              embed_dim=16),
+        seed=1)
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(config_to_text(cfg))
+    src = str(Path(mmproto.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.ckpt"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "mmproto", "pretrain",
+                        "--data", str(corpus), "--config", str(cfg_path),
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
