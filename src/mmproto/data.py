@@ -98,6 +98,8 @@ class CorpusSpec:
         if not 0 <= self.noise_sigma < np.inf:
             raise UsageError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

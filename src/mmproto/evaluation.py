@@ -19,6 +19,8 @@ from .trainer import Checkpoint, model_from_checkpoint
 
 PROBE_STEPS = 500
 PROBE_LR = 0.1
+#: the share of the samples that the linear and kNN probes hold out
+TEST_FRACTION = 0.2
 
 
 @dataclass
@@ -49,6 +51,8 @@ class ClusterReport:
 
 def _embeddings(ckpt: Checkpoint, corpus: PairedCorpus, modality: str):
     """Frozen encoder-output embeddings; no parameter is ever updated here."""
+    if corpus.labels is None:
+        raise UsageError("corpus has no labels")
     views = {"m1": (0,), "m2": (1,), "both": (0, 1)}.get(modality)
     if views is None:
         raise UsageError(f"unknown modality {modality!r}")
@@ -67,23 +71,29 @@ def _embeddings(ckpt: Checkpoint, corpus: PairedCorpus, modality: str):
     return z, params["prototypes"].data
 
 
-def _split(n: int, split_seed: int, test_fraction: float = 0.2):
-    order = permutation(n, split_seed)
-    n_test = int(round(n * test_fraction))
-    return order[n_test:], order[:n_test]
-
-
-def _per_class(pred: np.ndarray, truth: np.ndarray) -> dict:
-    out = {}
-    for cls in np.unique(truth):
-        mask = truth == cls
-        out[int(cls)] = float((pred[mask] == cls).mean())
-    return out
+def _probe(kind: str, ckpt: Checkpoint, corpus: PairedCorpus,
+           split_seed: int, modality: str, predict) -> ProbeReport:
+    """Score `predict(train_z, train_labels, test_z)`, the predicted test
+    labels, on a seeded hold-out of `TEST_FRACTION` of the samples."""
+    if split_seed < 0:
+        raise UsageError(f"split_seed must be >= 0, got {split_seed}")
+    n_test = int(round(corpus.n_samples * TEST_FRACTION))
+    if n_test == 0:
+        raise UsageError(f"a corpus of {corpus.n_samples} sample(s) leaves "
+                         f"no test sample")
+    z, _ = _embeddings(ckpt, corpus, modality)
+    order = permutation(corpus.n_samples, split_seed)
+    train, test = order[n_test:], order[:n_test]
+    pred = predict(z[train], corpus.labels[train], z[test])
+    truth = corpus.labels[test]
+    per_class = {int(cls): float((pred[truth == cls] == cls).mean())
+                 for cls in np.unique(truth)}
+    return ProbeReport(kind, float((pred == truth).mean()), per_class,
+                       len(train), len(test))
 
 
 def train_linear_classifier(features: np.ndarray, labels: np.ndarray,
-                            n_classes: int, steps: int = PROBE_STEPS,
-                            lr: float = PROBE_LR) -> tuple[np.ndarray, np.ndarray]:
+                            n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch softmax regression trained with the gradient tape."""
     n, d = features.shape
     onehot = np.zeros((n, n_classes))
@@ -91,56 +101,41 @@ def train_linear_classifier(features: np.ndarray, labels: np.ndarray,
 
     w, b = Tensor(np.zeros((d, n_classes))), Tensor(np.zeros((1, n_classes)))
     x = as_matrix(features)
-    for _ in range(steps):
+    for _ in range(PROBE_STEPS):
         grads = backward(cross_entropy(affine(x, w, b), onehot),
                          {"w": w, "b": b})
-        w.data -= lr * grads["w"]
-        b.data -= lr * grads["b"]
+        w.data -= PROBE_LR * grads["w"]
+        b.data -= PROBE_LR * grads["b"]
     return w.data, b.data
 
 
 def linear_probe(ckpt: Checkpoint, corpus: PairedCorpus, split_seed: int,
                  modality: str = "m1") -> ProbeReport:
-    if corpus.labels is None:
-        raise UsageError("corpus has no labels")
-    z, _ = _embeddings(ckpt, corpus, modality)
-    labels = corpus.labels
-    n_classes = int(labels.max()) + 1
-    train_idx, test_idx = _split(corpus.n_samples, split_seed)
-
-    w, b = train_linear_classifier(z[train_idx], labels[train_idx], n_classes)
-    pred = (z[test_idx] @ w + b).argmax(axis=1)
-    truth = labels[test_idx]
-    return ProbeReport("linear", float((pred == truth).mean()),
-                       _per_class(pred, truth), len(train_idx), len(test_idx))
+    def predict(train_z, train_labels, test_z):
+        w, b = train_linear_classifier(train_z, train_labels,
+                                       int(corpus.labels.max()) + 1)
+        return (test_z @ w + b).argmax(axis=1)
+    return _probe("linear", ckpt, corpus, split_seed, modality, predict)
 
 
 def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
               split_seed: int, modality: str = "m1") -> ProbeReport:
-    if corpus.labels is None:
-        raise UsageError("corpus has no labels")
     if k_neighbors < 1:
         raise UsageError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    z, _ = _embeddings(ckpt, corpus, modality)
-    labels = corpus.labels
-    train_idx, test_idx = _split(corpus.n_samples, split_seed)
-    if k_neighbors > len(train_idx):
-        raise UsageError(
-            f"k_neighbors {k_neighbors} exceeds train size {len(train_idx)}")
 
-    sims = z[test_idx] @ z[train_idx].T  # rows unit-norm: dot = cosine
-    pred = np.empty(len(test_idx), dtype=np.int64)
-    for i, row in enumerate(sims):
-        nearest = np.argsort(-row, kind="stable")[:k_neighbors]
-        votes = np.bincount(labels[train_idx[nearest]])
-        winners = np.flatnonzero(votes == votes.max())
-        if len(winners) == 1:
-            pred[i] = winners[0]
-        else:
-            pred[i] = labels[train_idx[nearest[0]]]  # tie: single nearest
-    truth = labels[test_idx]
-    return ProbeReport("knn", float((pred == truth).mean()),
-                       _per_class(pred, truth), len(train_idx), len(test_idx))
+    def predict(train_z, train_labels, test_z):
+        if k_neighbors > len(train_z):
+            raise UsageError(
+                f"k_neighbors {k_neighbors} exceeds train size {len(train_z)}")
+        pred = np.empty(len(test_z), dtype=np.int64)
+        for i, row in enumerate(test_z @ train_z.T):  # unit rows: cosine
+            nearest = np.argsort(-row, kind="stable")[:k_neighbors]
+            votes = np.bincount(train_labels[nearest])
+            winners = np.flatnonzero(votes == votes.max())
+            pred[i] = (winners[0] if len(winners) == 1
+                       else train_labels[nearest[0]])  # tie: single nearest
+        return pred
+    return _probe("knn", ckpt, corpus, split_seed, modality, predict)
 
 
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -174,8 +169,6 @@ def purity_score(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus,
                       modality: str = "m1") -> ClusterReport:
-    if corpus.labels is None:
-        raise UsageError("corpus has no labels")
     if modality not in ("m1", "m2"):
         raise UsageError(
             f"the cluster probe takes modality m1 or m2, got {modality!r}")

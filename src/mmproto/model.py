@@ -70,7 +70,7 @@ def embed(params: dict[str, Tensor], batch, modality: int) -> Tensor:
     and the probes reject them."""
     if modality not in (0, 1):
         raise UsageError(f"modality must be 0 or 1, got {modality}")
-    x = batch if isinstance(batch, Tensor) else as_matrix(batch)
+    x = as_matrix(batch)
     w = params[f"adapter{modality + 1}.w"]
     if x.shape[1] != w.shape[0]:
         raise UsageError(

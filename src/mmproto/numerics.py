@@ -13,6 +13,9 @@ import numpy as np
 
 from .errors import UsageError
 
+#: numeric gradient components at or below this magnitude are not compared
+GRADIENT_FLOOR = 1e-6
+
 
 def as_matrix(x) -> np.ndarray:
     m = np.ascontiguousarray(x, dtype=np.float64)
@@ -198,13 +201,12 @@ def finite_difference(fn, params: dict[str, np.ndarray],
 
 
 def relative_gradient_error(analytic: dict[str, np.ndarray],
-                            numeric: dict[str, np.ndarray],
-                            magnitude_floor: float = 1e-6) -> float:
+                            numeric: dict[str, np.ndarray]) -> float:
     """Max relative error over components with |numeric| above the floor."""
     worst = 0.0
     for name in analytic:
         a, n = analytic[name].reshape(-1), numeric[name].reshape(-1)
-        mask = np.abs(n) > magnitude_floor
+        mask = np.abs(n) > GRADIENT_FLOOR
         if mask.any():
             rel = np.abs(a[mask] - n[mask]) / np.abs(n[mask])
             worst = max(worst, float(rel.max()))

@@ -360,9 +360,10 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed byte is a `FormatError` naming its
-    offset or tensor. Tensor names and shapes must be those of the model
-    that the embedded config builds, and every value must be finite. The
-    two potential tensors are optional, but only together."""
+    offset and tensor, or the tensor count. The records must be the ones
+    that `save_checkpoint` writes for the model that the embedded config
+    builds, in its order, and every value must be finite. The tensor count
+    says whether the two potentials are present."""
     reader = Reader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     cfg_text = reader.bytes(reader.u32("config length"), "config text")
     try:
@@ -370,44 +371,30 @@ def load_checkpoint(path) -> Checkpoint:
             config_from_text(cfg_text.decode("utf-8")))
     except (UnicodeDecodeError, UsageError) as exc:
         raise FormatError(f"bad config text at offset 12: {exc}") from None
+    count, base = reader.u32("tensor count"), len(_tensors(ckpt))
+    if count not in (base, base + 2):
+        raise FormatError(f"tensor count {count} at offset {reader.offset - 4}"
+                          f" is neither {base} nor {base + 2}")
+    if count > base:
+        ckpt.potentials = tuple(np.zeros(ckpt.config.k_prototypes)
+                                for _ in POTENTIALS)
     # each record is read into the array that save_checkpoint writes it from
-    slots = dict(_tensors(ckpt))
-    slots.update((name, np.zeros(ckpt.config.k_prototypes))
-                 for name in POTENTIALS)
-
-    seen = set()
-    for _ in range(reader.u32("tensor count")):
-        name_len = reader.u32("tensor name length")
+    tensors = _tensors(ckpt)
+    for name, slot in tensors:
         at = reader.offset
-        try:
-            name = reader.bytes(name_len, "tensor name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(
-                f"tensor name at offset {at} is not UTF-8") from None
-        if name not in slots or name in seen:
-            raise FormatError(f"unexpected tensor {name!r} at offset {at}")
-        seen.add(name)
+        got = reader.bytes(reader.u32(f"name length of {name}"),
+                           f"name of {name}")
         rank = reader.u32(f"rank of {name}")
-        if rank > 2:
-            raise FormatError(f"rank {rank} of {name} at offset "
-                              f"{reader.offset - 4} exceeds 2")
         dims = tuple(reader.array("<u4", (rank,), f"shape of {name}").tolist())
-        if dims != slots[name].shape:
-            raise FormatError(f"tensor {name} has shape {dims}, its config "
-                              f"builds {slots[name].shape}")
-        slots[name][...] = reader.array("<f8", dims, f"data of {name}")
-        if not np.isfinite(slots[name]).all():
+        if (got, dims) != (name.encode("utf-8"), slot.shape):
+            raise FormatError(f"tensor {name} of shape {slot.shape} expected "
+                              f"at offset {at}, found {got!r} of shape {dims}")
+        slot[...] = reader.array("<f8", dims, f"data of {name}")
+        if not np.isfinite(slot).all():
             raise FormatError(f"tensor {name} at offset {at} holds NaN or Inf")
     reader.end()
-    missing = slots.keys() - seen
-    if set(POTENTIALS) <= missing:
-        missing -= set(POTENTIALS)  # a run that holds no potentials yet
-    else:
-        ckpt.potentials = tuple(slots[name] for name in POTENTIALS)
-    if missing:
-        raise FormatError(f"missing tensors: {', '.join(sorted(missing))}")
 
-    state = slots["state"]
+    state = tensors[-1][1]  # _tensors ends with the run state
     iteration, fill, cursor = state
     if not (all(x >= 0 and float(x).is_integer() for x in state)
             and fill <= ckpt.queue.capacity

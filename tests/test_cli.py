@@ -66,6 +66,14 @@ class TestGenData:
         assert code == EXIT_USAGE
         assert "usage error" in err
 
+    def test_negative_seed_usage_error_writes_nothing(self, tmp_path,
+                                                      capsys):
+        code, _, err = run(capsys, "gen-data", "--seed", "-1",
+                           "--out", str(tmp_path / "x.mmp"))
+        assert code == EXIT_USAGE
+        assert err == "usage error: seed must be >= 0, got -1\n"
+        assert not any(tmp_path.iterdir())
+
     def test_unwritable_path_io_error(self, capsys):
         code, _, _ = run(capsys, "gen-data", "--n", "10",
                          "--out", "/nonexistent-dir/x.mmp")
@@ -196,6 +204,22 @@ class TestProbe:
                          "--data", str(corpus_file), "--probe", "quadratic")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("kind", ["linear", "knn"])
+    @pytest.mark.filterwarnings("error")
+    def test_no_test_sample_usage_error(self, tmp_path, trained_ckpt, capsys,
+                                        kind):
+        """A fifth of 2 samples rounds to an empty test set."""
+        two = tmp_path / "two.mmp"
+        assert main(["gen-data", "--n", "2", "--clusters", "3",
+                     "--latent-dim", "4", "--d1", "8", "--d2", "8",
+                     "--out", str(two)]) == EXIT_OK
+        capsys.readouterr()
+        code, out, err = run(capsys, "probe", "--ckpt", str(trained_ckpt),
+                             "--data", str(two), "--probe", kind)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("usage error: a corpus of 2 sample(s) leaves no test "
+                       "sample\n")
+
     def test_results_file_appended(self, tmp_path, corpus_file, trained_ckpt,
                                    capsys):
         results = tmp_path / "results.jsonl"
@@ -294,6 +318,10 @@ class TestExitCodes:
          EXIT_USAGE, "usage error: seed must be >= 0, got -1"),
         ({}, "gradcheck --seed -1",
          EXIT_USAGE, "usage error: seed must be >= 0, got -1"),
+        *[({}, f"probe --ckpt {{ckpt}} --data {{corpus}} --probe {kind} "
+               "--seed -1",
+           EXIT_USAGE, "usage error: split_seed must be >= 0, got -1")
+          for kind in ("linear", "knn")],
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mmproto.data import (CorpusSpec, PairedCorpus, batches, generate,
-                          load_corpus, n_batches, save_corpus)
+from mmproto.data import (CorpusSpec, PairedCorpus, SplitMix64, batches,
+                          generate, load_corpus, n_batches, permutation,
+                          save_corpus)
 from mmproto.errors import FormatError, UsageError
 
 
@@ -11,6 +12,18 @@ def small_spec(**kw):
                     d1=12, d2=10, noise_sigma=0.05, seed=7)
     defaults.update(kw)
     return CorpusSpec(**defaults)
+
+
+class TestRandomStream:
+    """Every corpus, batch order and reference number rests on this stream."""
+
+    def test_splitmix64_reference_outputs(self):
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+
+    def test_permutation_pinned(self):
+        assert permutation(10, 7).tolist() == [8, 1, 5, 9, 0, 4, 3, 2, 6, 7]
 
 
 class TestSpecValidation:

@@ -305,7 +305,9 @@ class TestCheckpointFile:
         path.write_bytes(blob[:count_at] + (count - 1).to_bytes(4, "little")
                          + blob[count_at + 4:record] + blob[record + size:])
         with pytest.raises(FormatError,
-                           match="^missing tensors: potentials.m2$"):
+                           match=f"^tensor count {count - 1} at offset "
+                                 f"{count_at} is neither {count - 2} nor "
+                                 f"{count}$"):
             load_checkpoint(path)
 
     def test_truncated_anywhere(self, tmp_path):
@@ -321,21 +323,26 @@ class TestCheckpointFile:
                                match=r"^truncated checkpoint: .* offset \d+"):
                 load_checkpoint(path)
 
-    @pytest.mark.parametrize("name, corrupt, message", [
-        ("name", lambda b, at: b[:at + 6] + b"\xff" + b[at + 7:],
-         "tensor name at offset .* is not UTF-8"),
-        ("rank", lambda b, at: b[:at + 20] + b"\x03" + b[at + 21:],
-         "rank 3 of param.adapter1.b at offset .* exceeds 2"),
-        ("shape", lambda b, at: b[:at + 24] + b"\x00" + b[at + 25:],
-         r"tensor param.adapter1.b has shape \(0, 8\), its config builds"),
-        ("name", lambda b, at: b[:at + 10] + b"X" + b[at + 11:],
-         "unexpected tensor 'param.Xdapter1.b'"),
-        ("count", lambda b, at: b[:at - 4] + b"\x00" + b[at - 3:],
-         "trailing bytes"),
-        ("missing", lambda b, at: b[:at - 4] + (b[at - 4] - 1).to_bytes(
-            4, "little") + b[at:-41], "missing tensors: state$"),
-    ])
-    def test_corrupt_tensor_headers(self, tmp_path, name, corrupt, message):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda b, at: b[:at + 6] + b"\xff" + b[at + 7:],
+         r"^tensor param.adapter1.b of shape \(1, 8\) expected at offset "
+         r"\d+, found b'pa\\xffam.adapter1.b' of shape \(1, 8\)$"),
+        (lambda b, at: b[:at + 20] + b"\x03" + b[at + 21:],
+         r"^tensor param.adapter1.b .* at offset \d+, found "
+         r"b'param.adapter1.b' of shape \(1, 8, 0\)$"),
+        (lambda b, at: b[:at + 24] + b"\x00" + b[at + 25:],
+         r"^tensor param.adapter1.b .* at offset \d+, found "
+         r"b'param.adapter1.b' of shape \(0, 8\)$"),
+        (lambda b, at: b[:at + 10] + b"X" + b[at + 11:],
+         r"^tensor param.adapter1.b .* at offset \d+, found "
+         r"b'param.Xdapter1.b' "),
+        (lambda b, at: b[:at - 4] + b"\x00" + b[at - 3:],
+         r"^tensor count 0 at offset \d+ is neither 21 nor 23$"),
+        (lambda b, at: b[:at - 4] + (b[at - 4] - 1).to_bytes(4, "little")
+         + b[at:-41], r"^tensor count 20 at offset \d+ is neither 21 nor 23$"),
+    ], ids=["name-not-utf8", "rank-3", "shape-0", "name-changed", "count-0",
+            "count-short"])
+    def test_corrupt_tensor_headers(self, tmp_path, corrupt, message):
         path = tmp_path / "x.ckpt"
         save_checkpoint(random_init_checkpoint(tiny_config()), path)
         blob = path.read_bytes()
@@ -345,13 +352,28 @@ class TestCheckpointFile:
         with pytest.raises(FormatError, match=message):
             load_checkpoint(path)
 
+    def test_records_in_file_order(self, tmp_path):
+        """Two records swapped: each name and shape is one the model has,
+        but not at its place in the order that save_checkpoint writes."""
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        blob = path.read_bytes()
+        m1, m2 = (blob.index(name) - 4 for name in (b"queue.m1", b"queue.m2"))
+        path.write_bytes(blob[:m1] + blob[m2:2 * m2 - m1] + blob[m1:m2]
+                         + blob[2 * m2 - m1:])
+        with pytest.raises(FormatError, match=rf"^tensor queue.m1 of shape "
+                           rf"\(16, 5\) expected at offset {m1}, found "
+                           rf"b'queue.m2' of shape \(16, 5\)$"):
+            load_checkpoint(path)
+
     def test_config_must_build_the_stored_tensors(self, tmp_path):
         path = tmp_path / "x.ckpt"
         save_checkpoint(random_init_checkpoint(tiny_config()), path)
         path.write_bytes(path.read_bytes().replace(b"k_prototypes=4",
                                                    b"k_prototypes=5"))
-        with pytest.raises(FormatError, match="tensor param.prototypes has "
-                                              r"shape \(4, 5\)"):
+        with pytest.raises(FormatError, match=r"^tensor param.prototypes of "
+                           r"shape \(5, 5\) expected at offset \d+, found "
+                           r"b'param.prototypes' of shape \(4, 5\)$"):
             load_checkpoint(path)
 
     def test_bad_run_state(self, tmp_path):
