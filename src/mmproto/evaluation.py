@@ -71,16 +71,23 @@ def _embeddings(ckpt: Checkpoint, corpus: PairedCorpus, modality: str):
     return z, params["prototypes"].data
 
 
+def _test_size(n_samples: int, fraction: float) -> int:
+    """How many of `n_samples` a probe scores at `fraction` of them; none is
+    a `UsageError`."""
+    n_test = int(round(n_samples * fraction))
+    if n_test == 0:
+        raise UsageError(f"a corpus of {n_samples} sample(s) leaves no test "
+                         f"sample")
+    return n_test
+
+
 def _probe(kind: str, ckpt: Checkpoint, corpus: PairedCorpus,
            split_seed: int, modality: str, predict) -> ProbeReport:
     """Score `predict(train_z, train_labels, test_z)`, the predicted test
     labels, on a seeded hold-out of `TEST_FRACTION` of the samples."""
     if split_seed < 0:
         raise UsageError(f"split_seed must be >= 0, got {split_seed}")
-    n_test = int(round(corpus.n_samples * TEST_FRACTION))
-    if n_test == 0:
-        raise UsageError(f"a corpus of {corpus.n_samples} sample(s) leaves "
-                         f"no test sample")
+    n_test = _test_size(corpus.n_samples, TEST_FRACTION)
     z, _ = _embeddings(ckpt, corpus, modality)
     order = permutation(corpus.n_samples, split_seed)
     train, test = order[n_test:], order[:n_test]
@@ -172,6 +179,7 @@ def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus,
     if modality not in ("m1", "m2"):
         raise UsageError(
             f"the cluster probe takes modality m1 or m2, got {modality!r}")
+    _test_size(corpus.n_samples, 1.0)  # it scores every sample
     z, prototypes = _embeddings(ckpt, corpus, modality)
     scores = prototype_scores(z, prototypes)  # K x n
     assignments = scores.argmax(axis=0)

@@ -34,6 +34,16 @@ class SinkhornConfig:
                              f"got {self.convergence_tolerance}")
 
 
+#: Newton systems whose Schur complement has at least this order are solved
+#: by conjugate gradients, smaller ones by a dense factorization; one step
+#: costs about the same both ways at this order
+CG_MIN_ORDER = 512
+#: relative residual |S x - rhs| / |rhs| at which conjugate gradients stop
+CG_TOLERANCE = 1e-6
+#: conjugate-gradient iterations after which a solve stops short
+CG_MAX_ITERATIONS = 1000
+
+
 def converged_config(epsilon: float) -> SinkhornConfig:
     """Iterate to the fixed point instead of a fixed sweep count."""
     return SinkhornConfig(epsilon=epsilon, n_iterations=1000,
@@ -49,11 +59,12 @@ class CodeMatrix:
     steps it took, whether its marginal residual reached the tolerance, and
     its fallbacks: line-search trials rejected (`backtracks`), sweeps taken
     after all 40 backtracks of a step failed (`fallback_sweeps`), and
-    Newton systems solved by least squares because they were singular
-    (`lstsq_fallbacks`). `residual` is its final marginal residual. Fixed
-    sweeps and the single-row or single-column closed form carry no
-    potentials, count nothing and report a NaN residual; fixed-sweep codes
-    report `converged` False.
+    Newton steps whose system was solved inexactly (`inexact_steps`): by
+    least squares because it was singular, or by conjugate gradients that
+    stopped short of their tolerance. `residual` is its final marginal
+    residual. Fixed sweeps and the single-row or single-column closed form
+    carry no potentials, count nothing and report a NaN residual;
+    fixed-sweep codes report `converged` False.
     """
 
     q: np.ndarray
@@ -62,7 +73,7 @@ class CodeMatrix:
     converged: bool = False
     backtracks: int = 0
     fallback_sweeps: int = 0
-    lstsq_fallbacks: int = 0
+    inexact_steps: int = 0
     residual: float = float("nan")
 
     def marginal_deviation(self) -> tuple[float, float]:
@@ -168,17 +179,17 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
     c = np.full(b, 1.0 / b)
     np.exp(log_m(u, v), out=m)
     row, col = m.sum(axis=1), m.sum(axis=0)
-    steps = backtracks = fallback_sweeps = lstsq_fallbacks = 0
+    steps = backtracks = fallback_sweeps = inexact_steps = 0
     while True:
         residual = max(np.abs(row - r).max(), np.abs(col - c).max())
         if residual < tol or steps == max_iterations:
             return CodeMatrix(m, u, steps, bool(residual < tol), backtracks,
-                              fallback_sweeps, lstsq_fallbacks,
+                              fallback_sweeps, inexact_steps,
                               float(residual))
         steps += 1
         du, dv, exact = _newton_step(m, row, col, row - r, (col - c)[:-1],
                                      work)
-        lstsq_fallbacks += not exact
+        inexact_steps += not exact
 
         t = 1.0
         for _ in range(40):  # backtrack on the marginal residual
@@ -209,13 +220,11 @@ def _newton_step(m, row, col, g_u, g_v, work):
     absorb the translation invariance u+t, v-t of the potentials.
 
     Both diagonal blocks are diagonal, so the larger one is eliminated and
-    only the min(K, B-1)-sized Schur complement is factorized (Brauer,
-    Clason, Lorenz & Wirth, arXiv:1710.06635). The Schur complement is a
-    diagonal minus a Gram product of M' scaled by the eliminated block's
-    inverse, formed by BLAS syrk; the scaled copy of M' is written into
-    `work` (K x B, overwritten). Returns (du, dv, exact), where `exact` is
-    False when the Schur complement was singular and least squares solved
-    it.
+    only the min(K, B-1)-sized Schur complement is solved (Brauer, Clason,
+    Lorenz & Wirth, arXiv:1710.06635): a diagonal minus a Gram product of
+    M' scaled by the eliminated block's inverse. `work` (K x B) is its
+    scratch and is overwritten. Returns (du, dv, exact), where `exact` is
+    False when the Schur system was solved inexactly (see `_schur_solve`).
     """
     k, b = m.shape
     mp, cp, wp = m[:, :-1], col[:-1], work[:, :-1]
@@ -228,13 +237,28 @@ def _newton_step(m, row, col, g_u, g_v, work):
 
 def _schur_solve(a, d, e, g, h, w):
     """(x, y, exact) solving [[diag(d), a], [a^T, diag(e)]] (x, y) = -(g, h)
-    by eliminating y: (diag(d) - a diag(1/e) a^T) x = a (h / e) - g. The
-    Gram product is W W^T with W = a diag(e)^(-1/2) written into `w` (the
-    shape of `a`): one buffer times its own transpose, which numpy hands to
-    BLAS syrk (one triangle, about half the work of a general product)."""
+    by eliminating y: (diag(d) - a diag(1/e) a^T) x = a (h / e) - g.
+
+    From `CG_MIN_ORDER` up, conjugate gradients solve it without forming the
+    Schur complement, preconditioned by its diagonal d - (a * a) / e (the
+    squares are written into `w`, the shape of `a`). A diagonal entry within
+    the rounding bound len(e) eps d of its own sum is numerically zero and
+    the complement singular: such a system, like every smaller one, is
+    formed and factorized. The Gram product is W W^T with
+    W = a diag(e)^(-1/2) written into `w`: one buffer times its own
+    transpose, which numpy hands to BLAS syrk (one triangle, about half the
+    work of a general product). `exact` is False when conjugate gradients
+    stopped short of `CG_TOLERANCE`, or least squares solved a singular
+    complement."""
+    rhs = a @ (h / e) - g
+    if len(d) >= CG_MIN_ORDER:
+        inv_e = 1.0 / e
+        jacobi = d - np.multiply(a, a, out=w) @ inv_e
+        if (jacobi > len(e) * np.finfo(float).eps * d).all():
+            x, exact = _conjugate_gradients(a, d, inv_e, rhs, jacobi)
+            return x, (-h - a.T @ x) / e, exact
     np.divide(a, np.sqrt(e), out=w)
     s = w @ w.T
-    rhs = a @ (h / e) - g
     np.negative(s, out=s)
     s.flat[::len(d) + 1] += d
     try:
@@ -242,3 +266,31 @@ def _schur_solve(a, d, e, g, h, w):
     except np.linalg.LinAlgError:
         x, exact = np.linalg.lstsq(s, rhs, rcond=None)[0], False
     return x, (-h - a.T @ x) / e, exact
+
+
+def _conjugate_gradients(a, d, inv_e, rhs, jacobi):
+    """(x, exact): conjugate gradients on
+    (diag(d) - a diag(inv_e) a^T) x = rhs from x = 0, preconditioned by the
+    positive diagonal `jacobi`, each product two matrix-vector products with
+    `a`. Stops at a residual of `CG_TOLERANCE` times |rhs| (`exact` True),
+    or short of it (`exact` False) after `CG_MAX_ITERATIONS` iterations or
+    on a direction of non-positive curvature, returning the last iterate."""
+    stop = CG_TOLERANCE * np.linalg.norm(rhs)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    z = r / jacobi
+    p, rz = z, r @ z
+    for _ in range(CG_MAX_ITERATIONS):
+        if np.linalg.norm(r) <= stop:
+            return x, True
+        sp = d * p - a @ ((a.T @ p) * inv_e)
+        curvature = p @ sp
+        if not curvature > 0.0:
+            return x, False
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * sp
+        z = r / jacobi
+        rz, previous = r @ z, rz
+        p = z + (rz / previous) * p
+    return x, bool(np.linalg.norm(r) <= stop)

@@ -322,6 +322,10 @@ class TestExitCodes:
                "--seed -1",
            EXIT_USAGE, "usage error: split_seed must be >= 0, got -1")
           for kind in ("linear", "knn")],
+        *[({}, f"probe --ckpt {{ckpt}} --data {{tmp}}/empty.mmp --probe {kind}",
+           EXIT_USAGE, "usage error: a corpus of 0 sample(s) leaves no test "
+                       "sample")
+          for kind in ("linear", "knn", "cluster")],
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -333,6 +337,8 @@ class TestExitCodes:
                            corpus.labels)
         big.modality1[7] = 1.7e308  # finite, but overflows the encoder
         save_corpus(big, tmp_path / "big.mmp")
+        save_corpus(PairedCorpus(corpus.modality1[:0], corpus.modality2[:0],
+                                 corpus.labels[:0]), tmp_path / "empty.mmp")
         corpus.modality1[5, 0] = np.nan
         save_corpus(corpus, tmp_path / "nan.mmp")
         ckpt = load_checkpoint(trained_ckpt)

@@ -8,14 +8,26 @@ from hypothesis import strategies as st
 from mmproto import sinkhorn
 from mmproto.errors import NumericalError, UsageError
 from mmproto.numerics import as_matrix
-from mmproto.sinkhorn import (CodeMatrix, SinkhornConfig,
-                              compute_codes, converged_config)
+from mmproto.sinkhorn import (CG_MIN_ORDER, CG_TOLERANCE, CodeMatrix,
+                              SinkhornConfig, compute_codes, converged_config)
 
 EPS = 0.05
 
 
 def random_scores(rng, k, b):
     return rng.uniform(-1.0, 1.0, size=(k, b))
+
+
+def clustered_scores(rng, k, b, dim=8):
+    """Cosine scores of unit prototypes and embeddings drawn around four
+    shared centres. Their converged solves take Newton steps; at these
+    orders uniform random scores converge in the entry sweeps."""
+    centres = rng.standard_normal((4, dim))
+
+    def around(n):
+        x = centres[rng.integers(4, size=n)] + rng.standard_normal((n, dim))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return around(k) @ around(b).T
 
 
 def entropy(q: CodeMatrix | np.ndarray) -> float:
@@ -160,9 +172,27 @@ def dense_newton_step(m, row, col, g_u, g_v):
     return step[:k], np.append(step[k:], 0.0)
 
 
+@pytest.fixture
+def factorized(monkeypatch):
+    """The order of each Schur complement that np.linalg.solve factorizes."""
+    orders = []
+    solve = np.linalg.solve
+
+    def counted(s, rhs):
+        orders.append(len(s))
+        return solve(s, rhs)
+
+    monkeypatch.setattr(sinkhorn.np.linalg, "solve", counted)
+    return orders
+
+
 class TestNewtonStep:
-    # K < B, K > B, and both sides of the branch boundary K = B-1 | K = B
-    @pytest.mark.parametrize("k,b", [(6, 40), (40, 6), (9, 9), (8, 9)])
+    # K < B, K > B, and both sides of the branch boundary K = B-1 | K = B;
+    # the last two have Schur complements of order CG_MIN_ORDER, which
+    # conjugate gradients solve to a relative residual of CG_TOLERANCE
+    @pytest.mark.parametrize("k,b", [(6, 40), (40, 6), (9, 9), (8, 9),
+                                     (CG_MIN_ORDER, CG_MIN_ORDER + 88),
+                                     (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1)])
     @pytest.mark.parametrize("epsilon", [1.0, EPS])
     def test_matches_dense_system(self, k, b, epsilon):
         rng = np.random.default_rng(k * 100 + b)
@@ -174,14 +204,34 @@ class TestNewtonStep:
                                               np.empty_like(m))
         ref_u, ref_v = dense_newton_step(m, row, col, g_u, g_v)
         step, ref = np.concatenate([du, dv]), np.concatenate([ref_u, ref_v])
+        tol = CG_TOLERANCE if min(k, b - 1) >= CG_MIN_ORDER else 1e-10
         assert dv[-1] == 0.0 and exact
-        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("k,b", [(64, 1024), (1024, 64)])
+    @pytest.mark.parametrize("k,b", [(CG_MIN_ORDER + 88, CG_MIN_ORDER + 1),
+                                     (CG_MIN_ORDER, CG_MIN_ORDER + 88)])
+    def test_zero_jacobi_entry_is_factorized(self, k, b, factorized):
+        """Row 0 and column 0 share their mass with no other column or
+        row: the Schur complement's diagonal entry for one of them is 0,
+        so no Jacobi preconditioner exists. The singular system is
+        factorized and solved by least squares, as below CG_MIN_ORDER."""
+        m = np.random.default_rng(2).uniform(0.5, 1.0, size=(k, b))
+        m[0, 1:] = m[1:, 0] = 0.0
+        m /= m.sum()
+        row, col = m.sum(axis=1), m.sum(axis=0)
+        du, dv, exact = sinkhorn._newton_step(
+            m, row, col, row - 1.0 / k, (col - 1.0 / b)[:-1],
+            np.empty_like(m))
+        assert factorized == [min(k, b - 1)] and not exact
+        assert np.isfinite(du).all() and np.isfinite(dv).all()
+
+    @pytest.mark.parametrize("k,b", [(64, 1024), (1024, 64),
+                                     (CG_MIN_ORDER + 88, CG_MIN_ORDER + 188)])
     def test_peak_memory_linear_in_kernel(self, k, b, monkeypatch):
-        # a dense (K+B-1)^2 Newton system alone is 18x K*B*8 bytes here;
-        # log_kernel, m and work are 3x, so 4x leaves no room for a K x B
-        # temporary
+        # a dense (K+B-1)^2 Newton system alone is 18x K*B*8 bytes at the
+        # first two shapes; log_kernel, m and work are 3x, so 4x leaves no
+        # room for a K x B temporary, at the third also not in the
+        # conjugate-gradient solve
         steps = []
         newton_step = sinkhorn._newton_step
 
@@ -190,7 +240,9 @@ class TestNewtonStep:
             return newton_step(*args)
 
         monkeypatch.setattr(sinkhorn, "_newton_step", counted)
-        scores = random_scores(np.random.default_rng(5), k, b)
+        make = (clustered_scores if min(k, b - 1) >= CG_MIN_ORDER
+                else random_scores)
+        scores = make(np.random.default_rng(5), k, b)
         tracemalloc.start()
         try:
             codes = compute_codes(scores, converged_config(EPS))
@@ -200,6 +252,28 @@ class TestNewtonStep:
         assert steps, "the Newton path was not exercised"
         assert max(codes.marginal_deviation()) < 1e-6
         assert peak < 4 * k * b * 8, f"peak {peak / (k * b * 8):.2f} x K*B*8"
+
+    @pytest.mark.parametrize("order", [CG_MIN_ORDER - 1, CG_MIN_ORDER])
+    def test_both_sides_of_the_order_threshold(self, order, factorized):
+        """A factorization solves each Newton system below CG_MIN_ORDER and
+        none from it up; both meet the marginals."""
+        scores = clustered_scores(np.random.default_rng(order), order,
+                                  order + 89)
+        codes = compute_codes(scores, converged_config(EPS))
+        assert codes.converged and codes.newton_steps > 0
+        assert codes.inexact_steps == 0
+        assert max(codes.marginal_deviation()) < 1e-8
+        expected = codes.newton_steps if order < CG_MIN_ORDER else 0
+        assert factorized == [order] * expected
+
+    def test_conjugate_gradient_solves_repeat_byte_for_byte(self):
+        scores = clustered_scores(np.random.default_rng(8), CG_MIN_ORDER + 88,
+                                  CG_MIN_ORDER + 1)
+        first = compute_codes(scores, converged_config(EPS))
+        second = compute_codes(scores, converged_config(EPS))
+        assert first.newton_steps > 0
+        assert first.q.tobytes() == second.q.tobytes()
+        assert first.u.tobytes() == second.u.tobytes()
 
 
 class TestDiagnostics:
@@ -252,13 +326,13 @@ class TestDiagnostics:
         assert codes.residual == pytest.approx(max(codes.marginal_deviation()),
                                                rel=1e-6)
         assert codes.residual < 1e-8
-        assert codes.fallback_sweeps == codes.lstsq_fallbacks == 0
+        assert codes.fallback_sweeps == codes.inexact_steps == 0
 
     def test_fixed_sweeps_count_nothing(self):
         codes = compute_codes(random_scores(np.random.default_rng(5), 4, 5),
                               SinkhornConfig())
         assert codes.backtracks == codes.fallback_sweeps == 0
-        assert codes.lstsq_fallbacks == 0 and np.isnan(codes.residual)
+        assert codes.inexact_steps == 0 and np.isnan(codes.residual)
 
     def test_singular_newton_systems_counted(self, monkeypatch):
         def singular(a, b):
@@ -268,7 +342,18 @@ class TestDiagnostics:
         codes = compute_codes(random_scores(np.random.default_rng(4), 6, 9),
                               converged_config(EPS))
         assert codes.converged and codes.newton_steps > 0
-        assert codes.lstsq_fallbacks == codes.newton_steps
+        assert codes.inexact_steps == codes.newton_steps
+        assert max(codes.marginal_deviation()) < 1e-8
+
+    def test_stopped_short_conjugate_gradients_counted(self, monkeypatch):
+        """Capped at one iteration, each conjugate-gradient solve stops short
+        of its tolerance; the damped iteration still meets the marginals."""
+        monkeypatch.setattr(sinkhorn, "CG_MAX_ITERATIONS", 1)
+        scores = clustered_scores(np.random.default_rng(1), CG_MIN_ORDER,
+                                  CG_MIN_ORDER + 88)
+        codes = compute_codes(scores, converged_config(0.2))
+        assert codes.converged and codes.newton_steps > 0
+        assert codes.inexact_steps == codes.newton_steps
         assert max(codes.marginal_deviation()) < 1e-8
 
     def test_failed_line_searches_counted(self, monkeypatch):
@@ -284,7 +369,7 @@ class TestDiagnostics:
         assert codes.converged and codes.newton_steps > 0
         assert codes.fallback_sweeps == codes.newton_steps
         assert codes.backtracks == 40 * codes.newton_steps
-        assert codes.lstsq_fallbacks == 0
+        assert codes.inexact_steps == 0
 
 
 class TestEntropy:
