@@ -241,6 +241,9 @@ def _cmd_codes(args) -> int:
         config = SinkhornConfig(epsilon=args.epsilon,
                                 n_iterations=args.iters)
     codes = compute_codes(scores, config)
+    if args.converged and not codes.converged:
+        raise NumericalError(f"codes did not converge: {codes.newton_steps} "
+                             f"Newton steps left residual {codes.residual:.3g}")
     for row in codes.q:
         print(",".join(f"{v:.9g}" for v in row))
     return EXIT_OK

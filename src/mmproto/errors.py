@@ -33,12 +33,10 @@ class NumericalError(Error):
 
 
 class NumericalAbort(NumericalError):
-    """Loss went non-finite; carries the iteration and batch for diagnosis."""
+    """Training met non-finite numbers; carries the iteration and batch."""
 
-    def __init__(self, iteration: int, batch_indices, loss_value: float):
+    def __init__(self, iteration: int, batch_indices, reason: str):
         self.iteration = iteration
         self.batch_indices = [int(i) for i in batch_indices]
-        self.loss_value = loss_value
-        super().__init__(
-            f"non-finite loss {loss_value} at iteration {iteration}, "
-            f"batch indices {self.batch_indices}")
+        super().__init__(f"{reason} at iteration {iteration}, "
+                         f"batch indices {self.batch_indices}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 
 #: numeric gradient components at or below this magnitude are not compared
 GRADIENT_FLOOR = 1e-6
@@ -106,10 +106,15 @@ def affine(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
 def log_softmax_rows(s: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """log softmax(s / temperature) of each row of an array, computed
-    shifted by the row maximum so that no exponential overflows."""
+    shifted by the row maximum so that no exponential overflows; a quotient
+    that is not finite is a `NumericalError`."""
     if temperature <= 0:
         raise UsageError(f"temperature must be > 0, got {temperature}")
-    s = s / temperature
+    with np.errstate(over="ignore"):
+        s = s / temperature
+    if not np.isfinite(s).all():
+        raise NumericalError(
+            f"scores / temperature {temperature} hold NaN or Inf")
     s -= s.max(axis=1, keepdims=True)
     s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
     return s

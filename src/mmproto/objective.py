@@ -36,7 +36,8 @@ class LossConfig:
 
 
 class FeatureQueue:
-    """Ring buffer of past embeddings, one buffer per modality.
+    """First-in first-out queue of past embeddings, one buffer per modality,
+    newest rows first, as in SwAV (Caron et al., arXiv:2006.09882).
 
     Stored rows are detached copies; they never carry gradients back to the
     iterations that produced them.
@@ -46,26 +47,20 @@ class FeatureQueue:
         self.capacity = capacity
         self.buffers = [np.zeros((capacity, dim)), np.zeros((capacity, dim))]
         self.fill = 0
-        self.cursor = 0
 
     def rows(self, modality: int) -> np.ndarray:
-        """Currently stored rows for one modality (oldest order irrelevant)."""
+        """Currently stored rows for one modality, newest batch first."""
         return self.buffers[modality][:self.fill]
 
     def push(self, z1: np.ndarray, z2: np.ndarray):
-        """Copy in both modality batches, evicting the oldest rows."""
-        n, cap = len(z1), self.capacity
-        if cap == 0:
-            return
-        keep = min(n, cap)  # only the last `cap` rows survive
-        start = (self.cursor + n - keep) % cap
-        head = min(keep, cap - start)  # rows before the ring wraps
+        """Shift the stored rows back and copy both modality batches in at
+        the front, evicting the oldest rows; of a batch longer than the
+        queue, only the last `capacity` rows are kept."""
+        n = min(len(z1), self.capacity)
         for buffer, z in zip(self.buffers, (z1, z2)):
-            tail = z[n - keep:]
-            buffer[start:start + head] = tail[:head]
-            buffer[:keep - head] = tail[head:]
-        self.cursor = (self.cursor + n) % cap
-        self.fill = min(self.fill + n, cap)
+            buffer[n:] = buffer[:self.capacity - n]
+            buffer[:n] = z[len(z) - n:]
+        self.fill = min(self.fill + n, self.capacity)
 
 
 def compute_batch_codes(z: np.ndarray, prototypes: np.ndarray,

@@ -58,13 +58,14 @@ class CodeMatrix:
     (log row scalings, length K), which can start a later solve, the Newton
     steps it took, whether its marginal residual reached the tolerance, and
     its fallbacks: line-search trials rejected (`backtracks`), sweeps taken
-    after all 40 backtracks of a step failed (`fallback_sweeps`), and
-    Newton steps whose system was solved inexactly (`inexact_steps`): by
-    least squares because it was singular, or by conjugate gradients that
-    stopped short of their tolerance. `residual` is its final marginal
-    residual. Fixed sweeps and the single-row or single-column closed form
-    carry no potentials, count nothing and report a NaN residual;
-    fixed-sweep codes report `converged` False.
+    in place of a Newton step whose direction was not finite or whose 40
+    backtracks all failed (`fallback_sweeps`), and Newton steps whose
+    system was solved inexactly (`inexact_steps`): by least squares because
+    it was singular, or by conjugate gradients that stopped short of their
+    tolerance. `residual` is its final marginal residual. Fixed sweeps and
+    the single-row or single-column closed form carry no potentials, count
+    nothing and report a NaN residual; fixed-sweep codes report `converged`
+    False.
     """
 
     q: np.ndarray
@@ -90,7 +91,8 @@ def compute_codes(scores, config: SinkhornConfig,
 
     With convergence_tolerance == 0 this runs exactly `n_iterations`
     alternating sweeps (rows to 1/K, then columns to 1/B); a row or column
-    whose kernel underflows to zero is a `NumericalError`. With a nonzero
+    whose kernel underflows to zero is a `NumericalError`, and in either
+    mode so is a quotient scores / epsilon that overflows. With a nonzero
     tolerance it solves for the fixed point directly: plain sweeps crawl
     for sharp kernels (small epsilon), so the converged path switches to a
     damped Newton iteration on the log-domain scaling potentials, which
@@ -111,11 +113,15 @@ def compute_codes(scores, config: SinkhornConfig,
     tol = config.convergence_tolerance
     if min(k, b) == 1:
         return CodeMatrix(np.full((k, b), 1.0 / (k * b)), converged=True)
+    with np.errstate(over="ignore"):
+        s = scores / config.epsilon
+    if not np.isfinite(s).all():
+        raise NumericalError(f"scores / epsilon overflow at epsilon "
+                             f"{config.epsilon}; raise epsilon")
     if tol > 0.0:
-        return _converged_solve(scores / config.epsilon, tol,
-                                config.n_iterations, start)
+        with np.errstate(all="ignore"):  # it rejects non-finite steps
+            return _converged_solve(s, tol, config.n_iterations, start)
 
-    s = scores / config.epsilon
     q = np.exp(s - s.max())  # global max subtraction: no overflow
     q /= q.sum()
     with np.errstate(all="ignore"):
@@ -191,8 +197,9 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
                                      work)
         inexact_steps += not exact
 
+        finite = np.isfinite(du).all() and np.isfinite(dv).all()
         t = 1.0
-        for _ in range(40):  # backtrack on the marginal residual
+        for _ in range(40 if finite else 0):  # backtrack on the residual
             ut, vt = u + t * du, v + t * dv
             np.exp(np.minimum(log_m(ut, vt), 60.0, out=m), out=m)
             rowt, colt = m.sum(axis=1), m.sum(axis=0)

@@ -28,7 +28,7 @@ from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 #: the per-modality prototype potentials, written only when a run holds them
 POTENTIALS = ("potentials.m1", "potentials.m2")
 
@@ -187,16 +187,6 @@ def epoch_shuffle_seed(seed: int, epoch: int) -> int:
 
 # ---- training ------------------------------------------------------------
 
-def _resolve(cfg: TrainConfig, steps_per_epoch: int) -> tuple[int, int]:
-    freeze = cfg.prototype_freeze_iterations
-    if freeze < 0:
-        freeze = steps_per_epoch
-    queue_start = cfg.loss.queue_start_iteration
-    if queue_start < 0:
-        queue_start = steps_per_epoch
-    return freeze, queue_start
-
-
 def train(corpus: PairedCorpus, config: TrainConfig,
           resume_from: Checkpoint | None = None,
           metrics_sink=None,
@@ -219,7 +209,10 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     total_steps = steps_per_epoch * config.epochs
     stop_at = total_steps if stop_after is None else min(stop_after,
                                                          total_steps)
-    freeze_iters, queue_start = _resolve(config, steps_per_epoch)
+    freeze_iters, queue_start = (  # -1: one epoch
+        steps_per_epoch if n < 0 else n
+        for n in (config.prototype_freeze_iterations,
+                  config.loss.queue_start_iteration))
 
     if resume_from is None:
         ckpt = random_init_checkpoint(config)
@@ -257,16 +250,16 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                 loss_t, solved = swapped_loss(
                     z1, z2, params["prototypes"], rows, config.loss,
                     start=None if rows is None else potentials)
-            except NumericalError:
-                # non-finite embeddings or prototypes poison the solver
+            except NumericalError as exc:
                 raise NumericalAbort(iteration, batch.sample_indices,
-                                     float("nan")) from None
+                                     str(exc)) from None
             queue.push(z1.data, z2.data)
             if rows is not None:
                 potentials = solved
             loss_val = float(loss_t.data[0, 0])
             if not np.isfinite(loss_val):
-                raise NumericalAbort(iteration, batch.sample_indices, loss_val)
+                raise NumericalAbort(iteration, batch.sample_indices,
+                                     f"non-finite loss {loss_val}")
 
             grads = backward(loss_t, params)
             frozen = iteration < freeze_iters
@@ -340,8 +333,7 @@ def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     tensors += zip(("queue.m1", "queue.m2"), ckpt.queue.buffers)
     if ckpt.potentials is not None:
         tensors += zip(POTENTIALS, ckpt.potentials)
-    state = np.array([float(ckpt.iteration), float(ckpt.queue.fill),
-                      float(ckpt.queue.cursor)])
+    state = np.array([float(ckpt.iteration), float(ckpt.queue.fill)])
     return tensors + [("state", state)]
 
 
@@ -395,12 +387,10 @@ def load_checkpoint(path) -> Checkpoint:
     reader.end()
 
     state = tensors[-1][1]  # _tensors ends with the run state
-    iteration, fill, cursor = state
+    iteration, fill = state
     if not (all(x >= 0 and float(x).is_integer() for x in state)
-            and fill <= ckpt.queue.capacity
-            and cursor < max(ckpt.queue.capacity, 1)):
+            and fill <= ckpt.queue.capacity):
         raise FormatError(
             f"tensor state holds no valid run state: {state.tolist()}")
-    ckpt.iteration = int(iteration)
-    ckpt.queue.fill, ckpt.queue.cursor = int(fill), int(cursor)
+    ckpt.iteration, ckpt.queue.fill = int(iteration), int(fill)
     return ckpt

@@ -271,7 +271,8 @@ class TestExitCodes:
          EXIT_NUMERIC, "numerical error: scores contain NaN or Inf"),
         ({}, "pretrain --data {tmp}/nan.mmp --out {tmp}/x.ckpt --epochs 1 "
              "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8",
-         EXIT_NUMERIC, "numerical error: non-finite loss nan at iteration "),
+         EXIT_NUMERIC,
+         "numerical error: scores contain NaN or Inf at iteration "),
         *[({}, f"pretrain --data {{corpus}} --out {{tmp}}/x.ckpt {flag} {v}",
            EXIT_USAGE, f"usage error: {field} must be finite")
           for flag, field, v in [("--lr", "base_lr", "nan"),
@@ -310,7 +311,8 @@ class TestExitCodes:
           for kind in ("linear", "knn", "cluster")],
         ({}, "pretrain --data {tmp}/big.mmp --out {tmp}/x.ckpt --epochs 1 "
              "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8",
-         EXIT_NUMERIC, "numerical error: non-finite loss nan at iteration "),
+         EXIT_NUMERIC,
+         "numerical error: scores contain NaN or Inf at iteration "),
         ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --seed -1",
          EXIT_USAGE, "usage error: seed must be >= 0, got -1"),
         ({"train.cfg": "seed=-1\n"},
@@ -326,6 +328,30 @@ class TestExitCodes:
            EXIT_USAGE, "usage error: a corpus of 0 sample(s) leaves no test "
                        "sample")
           for kind in ("linear", "knn", "cluster")],
+        ({"v2.ckpt": "MMCK\x02\x00\x00\x00"},
+         "probe --ckpt {tmp}/v2.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: unsupported checkpoint version 2 at offset 4"),
+        *[({"scores.csv": "0.3,-0.5,-0.9\n0.6,0.8,0.2\n"},
+           f"codes --scores {{tmp}}/scores.csv --epsilon 1e-310{flag}",
+           EXIT_NUMERIC,
+           "numerical error: scores / epsilon overflow at epsilon 1e-310")
+          for flag in (" --converged", "")],
+        ({"scores.csv": "0.3,-0.5,-0.9,-1.0\n0.6,0.8,0.2,0.5\n"
+                        "0.1,0.9,0.6,-1.0\n"},
+         "codes --scores {tmp}/scores.csv --epsilon 0.001 --converged",
+         EXIT_NUMERIC, "numerical error: codes did not converge: 1000 Newton "
+                       "steps left residual "),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 1 "
+             "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8 "
+             "--temperature 1e-310",
+         EXIT_NUMERIC, "numerical error: scores / temperature 1e-310 hold NaN "
+                       "or Inf at iteration 0, batch indices "),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 1 "
+             "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8 "
+             "--epsilon 0.001",
+         EXIT_NUMERIC, "numerical error: exp(scores / epsilon) underflows at "
+                       "epsilon 0.001; raise epsilon or use the converged "
+                       "solver at iteration 1, batch indices "),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,

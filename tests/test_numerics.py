@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mmproto.errors import UsageError
+from mmproto.errors import NumericalError, UsageError
 from mmproto.numerics import (Tensor, affine, backward, cross_entropy,
                               finite_difference, log_softmax_rows,
                               relative_gradient_error)
@@ -86,6 +86,11 @@ class TestSoftmaxRows:
     def test_nonpositive_temperature(self):
         with pytest.raises(UsageError):
             softmax_rows([[1.0, 2.0]], temperature=0.0)
+
+    def test_overflowing_quotient_named(self):
+        with pytest.raises(NumericalError,
+                           match=r"^scores / temperature 1e-310 hold NaN"):
+            log_softmax_rows(np.array([[0.3, -0.5]]), 1e-310)
 
     @given(m=finite_matrices)
     @settings(max_examples=50)

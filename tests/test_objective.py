@@ -42,17 +42,6 @@ class TestLossConfig:
             LossConfig(queue_length=-1)
 
 
-def push_row_by_row(queue, z1, z2):
-    """Reference: the one-row-at-a-time ring insert that `push` replaces."""
-    if queue.capacity == 0:
-        return
-    for row1, row2 in zip(z1, z2):
-        queue.buffers[0][queue.cursor] = row1
-        queue.buffers[1][queue.cursor] = row2
-        queue.cursor = (queue.cursor + 1) % queue.capacity
-        queue.fill = min(queue.fill + 1, queue.capacity)
-
-
 class TestFeatureQueue:
     def test_fill_and_rows(self):
         q = FeatureQueue(capacity=4, dim=2)
@@ -86,15 +75,20 @@ class TestFeatureQueue:
            seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
     def test_push_matches_row_by_row(self, capacity, sizes, seed):
+        """Each push puts the batch's last rows, in batch order, in front of
+        the stored rows, and keeps the first `capacity` of them."""
         rng = np.random.default_rng(seed)
-        fast, slow = FeatureQueue(capacity, 3), FeatureQueue(capacity, 3)
+        queue = FeatureQueue(capacity, 3)
+        expect = [np.zeros((0, 3)), np.zeros((0, 3))]
         for n in sizes:
-            z1, z2 = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
-            fast.push(z1, z2)
-            push_row_by_row(slow, z1, z2)
-            assert (fast.fill, fast.cursor) == (slow.fill, slow.cursor)
-            for a, b in zip(fast.buffers, slow.buffers):
-                np.testing.assert_array_equal(a, b)
+            z = rng.standard_normal((n, 3)), rng.standard_normal((n, 3))
+            queue.push(*z)
+            k = min(n, capacity)
+            expect = [np.concatenate([zm[n - k:], rows])[:capacity]
+                      for zm, rows in zip(z, expect)]
+            assert queue.fill == len(expect[0])
+            for modality, rows in enumerate(expect):
+                np.testing.assert_array_equal(queue.rows(modality), rows)
 
 
 class TestCrossEntropyTerm:

@@ -101,6 +101,13 @@ class TestComputeCodes:
                               converged_config(0.001))
         np.testing.assert_allclose(codes.q, 0.25, atol=1e-9)
 
+    @pytest.mark.parametrize("config", [SinkhornConfig(epsilon=1e-310),
+                                        converged_config(1e-310)])
+    def test_overflowing_quotient_named(self, config):
+        with pytest.raises(NumericalError, match=r"^scores / epsilon overflow "
+                                                 r"at epsilon 1e-310;"):
+            compute_codes([[0.3, -0.5], [0.6, 0.8]], config)
+
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1)])
     @pytest.mark.parametrize("config", [SinkhornConfig(epsilon=1e-3),
                                         converged_config(EPS)])
@@ -370,6 +377,19 @@ class TestDiagnostics:
         assert codes.fallback_sweeps == codes.newton_steps
         assert codes.backtracks == 40 * codes.newton_steps
         assert codes.inexact_steps == 0
+
+    def test_non_finite_directions_take_the_sweep(self, monkeypatch):
+        """A Newton direction that is not finite is a failed step: the
+        solve sweeps at once, with no line-search trial and no warning."""
+        def overflowed_step(m, row, col, g_u, g_v, work):
+            return np.full_like(row, np.nan), np.full_like(col, np.inf), True
+
+        monkeypatch.setattr(sinkhorn, "_newton_step", overflowed_step)
+        codes = compute_codes(random_scores(np.random.default_rng(4), 6, 9),
+                              converged_config(1.0))
+        assert codes.converged and codes.newton_steps > 0
+        assert codes.fallback_sweeps == codes.newton_steps
+        assert codes.backtracks == 0
 
 
 class TestEntropy:

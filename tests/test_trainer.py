@@ -165,7 +165,6 @@ class TestTrain:
             cfg.loss, queue_length=capacity))
         ckpt, metrics = train(tiny_corpus(), cfg, stop_after=steps)
         assert ckpt.queue.fill == min(steps * 8, capacity)
-        assert ckpt.queue.cursor == (steps * 8) % max(capacity, 1)
         assert ([m.queue_fill for m in metrics]
                 == [min(i * 8, capacity) for i in range(1, steps + 1)])
 
@@ -217,6 +216,8 @@ class TestTrain:
             train(corpus, cfg, resume_from=ckpt)
         assert err.value.iteration == 0
         assert len(err.value.batch_indices) == 8
+        assert str(err.value).startswith(
+            "scores contain NaN or Inf at iteration 0, batch indices [")
 
     def test_empty_corpus_rejected(self):
         from mmproto.data import PairedCorpus
