@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, UsageError
+from .errors import FormatError, NumericalError, UsageError
 
 MAGIC = b"MMP1"
 FORMAT_VERSION = 1
@@ -32,6 +32,15 @@ FORMAT_VERSION = 1
 MODALITY_NOISE_SCALE = 5.0
 
 _MASK = (1 << 64) - 1
+
+
+def check_seed(name: str, seed: int) -> None:
+    """A splitmix64 seed is a 64-bit word; a larger one would be masked to
+    the stream of a smaller seed."""
+    if seed < 0:
+        raise UsageError(f"{name} must be >= 0, got {seed}")
+    if seed > _MASK:
+        raise UsageError(f"{name} must be < 2**64, got {seed}")
 
 
 class SplitMix64:
@@ -98,8 +107,7 @@ class CorpusSpec:
         if not 0 <= self.noise_sigma < np.inf:
             raise UsageError(
                 f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        check_seed("seed", self.seed)
 
 
 @dataclass
@@ -121,7 +129,8 @@ class ModalityBatch:
 
 
 def generate(spec: CorpusSpec) -> PairedCorpus:
-    """Draw a paired corpus; deterministic per seed."""
+    """Draw a paired corpus; deterministic per seed. A noise_sigma whose
+    noise overflows the corpus to NaN or Inf is a `NumericalError`."""
     root = SplitMix64(spec.seed)
     rng_centers = root.split(1)
     rng_assign = root.split(2)
@@ -135,19 +144,22 @@ def generate(spec: CorpusSpec) -> PairedCorpus:
     centers /= np.sqrt((centers * centers).sum(axis=1, keepdims=True))
 
     labels = rng_assign.integers(spec.n_samples, spec.n_latent_clusters)
-    latent = centers[labels] + spec.noise_sigma * rng_latent.gaussian(
-        spec.n_samples * spec.latent_dim).reshape(-1, spec.latent_dim)
-
     map1 = rng_maps.gaussian(spec.latent_dim * spec.d1).reshape(
         spec.latent_dim, spec.d1) / np.sqrt(spec.latent_dim)
     map2 = rng_maps.gaussian(spec.latent_dim * spec.d2).reshape(
         spec.latent_dim, spec.d2) / np.sqrt(spec.latent_dim)
 
     sigma_m = MODALITY_NOISE_SCALE * spec.noise_sigma
-    x1 = latent @ map1 + sigma_m * rng_noise.gaussian(
-        spec.n_samples * spec.d1).reshape(-1, spec.d1)
-    x2 = latent @ map2 + sigma_m * rng_noise.gaussian(
-        spec.n_samples * spec.d2).reshape(-1, spec.d2)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        latent = centers[labels] + spec.noise_sigma * rng_latent.gaussian(
+            spec.n_samples * spec.latent_dim).reshape(-1, spec.latent_dim)
+        x1 = latent @ map1 + sigma_m * rng_noise.gaussian(
+            spec.n_samples * spec.d1).reshape(-1, spec.d1)
+        x2 = latent @ map2 + sigma_m * rng_noise.gaussian(
+            spec.n_samples * spec.d2).reshape(-1, spec.d2)
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise NumericalError(f"noise_sigma (--sigma) {spec.noise_sigma} "
+                             "overflows the corpus to NaN or Inf")
     return PairedCorpus(x1, x2, labels)
 
 

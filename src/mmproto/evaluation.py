@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairedCorpus, permutation
+from .data import PairedCorpus, check_seed, permutation
 from .errors import NumericalError, UsageError
 from .model import embed, prototype_scores
 from .numerics import Tensor, affine, as_matrix, backward, cross_entropy
@@ -85,8 +85,7 @@ def _probe(kind: str, ckpt: Checkpoint, corpus: PairedCorpus,
            split_seed: int, modality: str, predict) -> ProbeReport:
     """Score `predict(train_z, train_labels, test_z)`, the predicted test
     labels, on a seeded hold-out of `TEST_FRACTION` of the samples."""
-    if split_seed < 0:
-        raise UsageError(f"split_seed must be >= 0, got {split_seed}")
+    check_seed("split_seed", split_seed)
     n_test = _test_size(corpus.n_samples, TEST_FRACTION)
     z, _ = _embeddings(ckpt, corpus, modality)
     order = permutation(corpus.n_samples, split_seed)

@@ -20,7 +20,9 @@ from .numerics import as_matrix
 class SinkhornConfig:
     epsilon: float = 0.05
     n_iterations: int = 3
-    convergence_tolerance: float = 0.0  # 0 disables early exit
+    # 0 runs exactly n_iterations sweeps; a tolerance > 0 selects the damped
+    # Newton solver, capped at n_iterations steps
+    convergence_tolerance: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
@@ -58,14 +60,13 @@ class CodeMatrix:
     (log row scalings, length K), which can start a later solve, the Newton
     steps it took, whether its marginal residual reached the tolerance, and
     its fallbacks: line-search trials rejected (`backtracks`), sweeps taken
-    in place of a Newton step whose direction was not finite or whose 40
-    backtracks all failed (`fallback_sweeps`), and Newton steps whose
-    system was solved inexactly (`inexact_steps`): by least squares because
-    it was singular, or by conjugate gradients that stopped short of their
-    tolerance. `residual` is its final marginal residual. Fixed sweeps and
-    the single-row or single-column closed form carry no potentials, count
-    nothing and report a NaN residual; fixed-sweep codes report `converged`
-    False.
+    in place of a Newton step whose direction was not finite (a singular
+    Schur system, or an overflow) or whose 40 backtracks all failed
+    (`fallback_sweeps`), and Newton steps whose conjugate gradients stopped
+    short of their tolerance (`inexact_steps`). `residual` is its final
+    marginal residual. Fixed sweeps and the single-row or single-column
+    closed form carry no potentials, count nothing and report a NaN
+    residual; fixed-sweep codes report `converged` False.
     """
 
     q: np.ndarray
@@ -230,8 +231,7 @@ def _newton_step(m, row, col, g_u, g_v, work):
     only the min(K, B-1)-sized Schur complement is solved (Brauer, Clason,
     Lorenz & Wirth, arXiv:1710.06635): a diagonal minus a Gram product of
     M' scaled by the eliminated block's inverse. `work` (K x B) is its
-    scratch and is overwritten. Returns (du, dv, exact), where `exact` is
-    False when the Schur system was solved inexactly (see `_schur_solve`).
+    scratch and is overwritten. Returns (du, dv, exact) as `_schur_solve`.
     """
     k, b = m.shape
     mp, cp, wp = m[:, :-1], col[:-1], work[:, :-1]
@@ -248,30 +248,30 @@ def _schur_solve(a, d, e, g, h, w):
 
     From `CG_MIN_ORDER` up, conjugate gradients solve it without forming the
     Schur complement, preconditioned by its diagonal d - (a * a) / e (the
-    squares are written into `w`, the shape of `a`). A diagonal entry within
-    the rounding bound len(e) eps d of its own sum is numerically zero and
-    the complement singular: such a system, like every smaller one, is
-    formed and factorized. The Gram product is W W^T with
-    W = a diag(e)^(-1/2) written into `w`: one buffer times its own
-    transpose, which numpy hands to BLAS syrk (one triangle, about half the
-    work of a general product). `exact` is False when conjugate gradients
-    stopped short of `CG_TOLERANCE`, or least squares solved a singular
-    complement."""
+    squares are written into `w`, the shape of `a`). Smaller complements are
+    factorized: the Gram product W W^T, W = a diag(e)^(-1/2) written into
+    `w`, is one buffer times its own transpose, which numpy hands to BLAS
+    syrk (one triangle, about half the work of a general product). A
+    singular complement is a failed step, with a NaN (x, y): one whose
+    Jacobi diagonal has an entry within the rounding bound len(e) eps d of
+    its own sum, or one the factorization rejects. `exact` is False when
+    conjugate gradients stopped short of `CG_TOLERANCE`."""
     rhs = a @ (h / e) - g
     if len(d) >= CG_MIN_ORDER:
         inv_e = 1.0 / e
         jacobi = d - np.multiply(a, a, out=w) @ inv_e
+        x, exact = np.nan * rhs, True  # singular unless jacobi is positive
         if (jacobi > len(e) * np.finfo(float).eps * d).all():
             x, exact = _conjugate_gradients(a, d, inv_e, rhs, jacobi)
-            return x, (-h - a.T @ x) / e, exact
-    np.divide(a, np.sqrt(e), out=w)
-    s = w @ w.T
-    np.negative(s, out=s)
-    s.flat[::len(d) + 1] += d
-    try:
-        x, exact = np.linalg.solve(s, rhs), True
-    except np.linalg.LinAlgError:
-        x, exact = np.linalg.lstsq(s, rhs, rcond=None)[0], False
+    else:
+        np.divide(a, np.sqrt(e), out=w)
+        s = w @ w.T
+        np.negative(s, out=s)
+        s.flat[::len(d) + 1] += d
+        try:
+            x, exact = np.linalg.solve(s, rhs), True
+        except np.linalg.LinAlgError:  # singular
+            x, exact = np.nan * rhs, True
     return x, (-h - a.T @ x) / e, exact
 
 

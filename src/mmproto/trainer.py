@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PairedCorpus, Reader, batches, n_batches
+from .data import PairedCorpus, Reader, batches, check_seed, n_batches
 from .errors import FormatError, NumericalAbort, NumericalError, UsageError
 from .model import EncoderConfig, embed, init_params, renormalize_prototypes
 from .numerics import Tensor, backward
@@ -55,8 +55,7 @@ class TrainConfig:
                 f"base_lr must be finite and >= 0, got {self.base_lr}")
         if not 0 <= self.momentum < 1:
             raise UsageError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        check_seed("seed", self.seed)
 
 
 @dataclass

@@ -352,6 +352,17 @@ class TestExitCodes:
          EXIT_NUMERIC, "numerical error: exp(scores / epsilon) underflows at "
                        "epsilon 0.001; raise epsilon or use the converged "
                        "solver at iteration 1, batch indices "),
+        ({}, "gen-data --n 5 --clusters 2 --latent-dim 1 --d1 1 --d2 1 "
+             "--sigma 1e308 --out {tmp}/x.mmp",
+         EXIT_NUMERIC, "numerical error: noise_sigma (--sigma) 1e+308 "
+                       "overflows the corpus to NaN or Inf"),
+        *[({}, f"{command} --seed {2**64}", EXIT_USAGE,
+           f"usage error: {field} must be < 2**64, got {2**64}")
+          for command, field in [
+              ("gen-data --out {tmp}/x.mmp", "seed"),
+              ("pretrain --data {corpus} --out {tmp}/x.ckpt", "seed"),
+              *[(f"probe --ckpt {{ckpt}} --data {{corpus}} --probe {kind}",
+                 "split_seed") for kind in ("linear", "knn")]]],
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -376,6 +387,7 @@ class TestExitCodes:
         got, _, err = run(capsys, *argv.split())
         assert got == code
         assert err.startswith(prefix), err
+        assert not list(tmp_path.glob("x.*")), "a failed command wrote output"
 
 
 class TestCorruptFiles:

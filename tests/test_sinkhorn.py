@@ -217,11 +217,11 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("k,b", [(CG_MIN_ORDER + 88, CG_MIN_ORDER + 1),
                                      (CG_MIN_ORDER, CG_MIN_ORDER + 88)])
-    def test_zero_jacobi_entry_is_factorized(self, k, b, factorized):
+    def test_zero_jacobi_entry_fails_the_step(self, k, b, factorized):
         """Row 0 and column 0 share their mass with no other column or
         row: the Schur complement's diagonal entry for one of them is 0,
-        so no Jacobi preconditioner exists. The singular system is
-        factorized and solved by least squares, as below CG_MIN_ORDER."""
+        so no Jacobi preconditioner exists. The singular system is a failed
+        step: its direction is not finite, and nothing is factorized."""
         m = np.random.default_rng(2).uniform(0.5, 1.0, size=(k, b))
         m[0, 1:] = m[1:, 0] = 0.0
         m /= m.sum()
@@ -229,8 +229,8 @@ class TestNewtonStep:
         du, dv, exact = sinkhorn._newton_step(
             m, row, col, row - 1.0 / k, (col - 1.0 / b)[:-1],
             np.empty_like(m))
-        assert factorized == [min(k, b - 1)] and not exact
-        assert np.isfinite(du).all() and np.isfinite(dv).all()
+        assert factorized == [] and exact
+        assert not (np.isfinite(du).all() and np.isfinite(dv).all())
 
     @pytest.mark.parametrize("k,b", [(64, 1024), (1024, 64),
                                      (CG_MIN_ORDER + 88, CG_MIN_ORDER + 188)])
@@ -342,6 +342,9 @@ class TestDiagnostics:
         assert codes.inexact_steps == 0 and np.isnan(codes.residual)
 
     def test_singular_newton_systems_counted(self, monkeypatch):
+        """A Schur system the factorization rejects is a failed step: each
+        one sweeps at once, with no line-search trial, and counts as no
+        inexact solve; the sweeps alone meet the marginals."""
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
@@ -349,7 +352,8 @@ class TestDiagnostics:
         codes = compute_codes(random_scores(np.random.default_rng(4), 6, 9),
                               converged_config(EPS))
         assert codes.converged and codes.newton_steps > 0
-        assert codes.inexact_steps == codes.newton_steps
+        assert codes.fallback_sweeps == codes.newton_steps
+        assert codes.backtracks == codes.inexact_steps == 0
         assert max(codes.marginal_deviation()) < 1e-8
 
     def test_stopped_short_conjugate_gradients_counted(self, monkeypatch):
