@@ -17,10 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import CorpusSpec, generate, load_corpus, save_corpus
+from .data import CorpusSpec, check_seed, generate, load_corpus, save_corpus
 from .errors import Error, FormatError, NumericalError, UsageError
-from .evaluation import cluster_agreement, knn_probe, linear_probe
+from .evaluation import (check_neighbors, cluster_agreement, knn_probe,
+                         linear_probe)
 from .gradcheck import TOLERANCE, run_suite
+from .model import EncoderConfig
 from .sinkhorn import SinkhornConfig, compute_codes, converged_config
 from .trainer import (TrainConfig, config_entries, config_from_dict,
                       config_to_text, load_checkpoint, save_checkpoint, train)
@@ -126,18 +128,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flags_to_config(args) -> tuple[TrainConfig, dict, dict]:
-    """Resolve defaults < --config file < inline flags; returns the config,
-    the inline overrides for the manifest and the config file's entries."""
-    base, entries = None, {}
+def _flags_to_config(args, base: TrainConfig) -> tuple[TrainConfig, dict]:
+    """Resolve `base` < --config file < inline flags; returns the config and
+    the inline overrides for the manifest."""
     if args.config:
-        entries = config_entries(
-            Path(args.config).read_text(errors="replace"))
-        base = config_from_dict(entries)
+        base = config_from_dict(config_entries(
+            Path(args.config).read_text(errors="replace")), base)
     overrides = {key: str(value) for flag, (key, _, _) in CONFIG_FLAGS.items()
                  if (value := getattr(args, flag[2:].replace("-", "_")))
                  is not None}
-    return config_from_dict(overrides, base), overrides, entries
+    return config_from_dict(overrides, base), overrides
 
 
 def _cmd_gen_data(args) -> int:
@@ -157,27 +157,17 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
-    config, overrides, entries = _flags_to_config(args)
+    corpus = load_corpus(args.data)
+    # the corpus widths are the defaults, which --config and flags override
+    config, overrides = _flags_to_config(args, TrainConfig(
+        encoder=EncoderConfig(input_dims=(corpus.modality1.shape[1],
+                                          corpus.modality2.shape[1]))))
     if args.resume and (args.config or overrides):
         raise UsageError("--resume takes its config from the checkpoint; "
                          "drop --config and the config flags")
-    corpus = load_corpus(args.data)
     resume = load_checkpoint(args.resume) if args.resume else None
     if resume is not None:
         config = resume.config
-
-    # adopt the corpus dimensionality unless explicitly configured
-    dims = (corpus.modality1.shape[1], corpus.modality2.shape[1])
-    clash = [f"{key}={width} but the corpus has {want}"
-             for key, width, want in zip(("encoder.d1", "encoder.d2"),
-                                         config.encoder.input_dims, dims)
-             if key in entries and width != want]
-    if clash:
-        raise UsageError(f"--config sets {'; '.join(clash)}")
-    if config.encoder.input_dims != dims:
-        from dataclasses import replace
-        config = replace(config, encoder=replace(
-            config.encoder, input_dims=dims))
 
     metrics_file = None
 
@@ -209,6 +199,9 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    # every probe kind takes these flags, so each kind checks them
+    check_neighbors(args.knn_k)
+    check_seed("split_seed", args.seed)
     ckpt = load_checkpoint(args.ckpt)
     corpus = load_corpus(args.data)
     if args.probe == "linear":
@@ -235,11 +228,10 @@ def _cmd_codes(args) -> int:
         raise FormatError(f"{args.scores}: {exc}") from None
     if scores.size == 0:
         raise FormatError(f"{args.scores}: no scores")
+    # --iters is checked in converged mode too, which does not read it
+    config = SinkhornConfig(epsilon=args.epsilon, n_iterations=args.iters)
     if args.converged:
         config = converged_config(args.epsilon)
-    else:
-        config = SinkhornConfig(epsilon=args.epsilon,
-                                n_iterations=args.iters)
     codes = compute_codes(scores, config)
     if args.converged and not codes.converged:
         raise NumericalError(f"codes did not converge: {codes.newton_steps} "

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, NumericalError, UsageError
+from .numerics import unit_rows
 
 MAGIC = b"MMP1"
 FORMAT_VERSION = 1
@@ -138,10 +139,9 @@ def generate(spec: CorpusSpec) -> PairedCorpus:
     rng_maps = root.split(4)
     rng_noise = root.split(5)
 
-    centers = rng_centers.gaussian(
+    centers, _ = unit_rows(rng_centers.gaussian(
         spec.n_latent_clusters * spec.latent_dim).reshape(
-            spec.n_latent_clusters, spec.latent_dim)
-    centers /= np.sqrt((centers * centers).sum(axis=1, keepdims=True))
+            spec.n_latent_clusters, spec.latent_dim))
 
     labels = rng_assign.integers(spec.n_samples, spec.n_latent_clusters)
     map1 = rng_maps.gaussian(spec.latent_dim * spec.d1).reshape(
@@ -236,6 +236,10 @@ class Reader:
                 f"{at}, file is {len(self.blob)} bytes")
         self.offset = at + n
         return at
+
+    def expect(self, n: int, field: str):
+        """Check that `field` can take the next n bytes, reading none."""
+        self.offset = self._claim(n, field)
 
     def bytes(self, n: int, field: str) -> bytes:
         at = self._claim(n, field)

@@ -124,10 +124,15 @@ def linear_probe(ckpt: Checkpoint, corpus: PairedCorpus, split_seed: int,
     return _probe("linear", ckpt, corpus, split_seed, modality, predict)
 
 
-def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
-              split_seed: int, modality: str = "m1") -> ProbeReport:
+def check_neighbors(k_neighbors: int) -> None:
+    """The kNN probe's neighbor count must be positive."""
     if k_neighbors < 1:
         raise UsageError(f"k_neighbors must be >= 1, got {k_neighbors}")
+
+
+def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
+              split_seed: int, modality: str = "m1") -> ProbeReport:
+    check_neighbors(k_neighbors)
 
     def predict(train_z, train_labels, test_z):
         if k_neighbors > len(train_z):

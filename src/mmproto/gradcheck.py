@@ -14,7 +14,7 @@ import numpy as np
 from .errors import UsageError
 from .model import EncoderConfig, embed, init_params
 from .numerics import (Tensor, affine, backward, cross_entropy,
-                       finite_difference, relative_gradient_error)
+                       finite_difference, relative_gradient_error, unit_rows)
 from .objective import LossConfig, compute_batch_codes, swapped_loss
 from .sinkhorn import converged_config
 
@@ -90,8 +90,7 @@ def _full_loss_check(name: str, seed: int, use_queue: bool) -> CheckResult:
     loss_cfg = LossConfig(temperature=0.1, sinkhorn=converged_config(0.05))
     rows = (None, None)
     if use_queue:
-        past = rng.standard_normal((6, 5))
-        past /= np.sqrt((past * past).sum(axis=1, keepdims=True))
+        past, _ = unit_rows(rng.standard_normal((6, 5)))
         rows = (past, past[::-1])
 
     # freeze codes at the base point: the gradient treats them as constants

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .numerics import Tensor, affine, as_matrix
+from .numerics import Tensor, affine, as_matrix, unit_rows
 
 PROTOTYPE_RESEED = 0x5eed  # auxiliary seed for re-randomizing dead prototypes
 
@@ -37,19 +37,23 @@ class EncoderConfig:
             raise UsageError(f"all dims must be >= 1, got {dims}")
 
 
+def layers(config: EncoderConfig) -> list[tuple[str, int, int]]:
+    """(name, fan-in, fan-out) of each linear layer, in draw order."""
+    h = config.hidden_dims
+    out = [(f"adapter{m + 1}", d_in, h[0])
+           for m, d_in in enumerate(config.input_dims)]
+    out += [(f"trunk{i}", h[i], h[i + 1]) for i in range(len(h) - 1)]
+    return out + [("head0", h[-1], h[-1]), ("head1", h[-1], config.embed_dim)]
+
+
 def init_params(config: EncoderConfig, k: int, seed: int) -> dict[str, Tensor]:
     """Fresh parameters `<layer>.w` and `<layer>.b` of each linear layer and
     the unit-norm `prototypes`, drawn in that order from `seed`."""
     if k < 2:
         raise UsageError(f"need at least 2 prototypes, got {k}")
     rng = np.random.default_rng(seed)
-    h = config.hidden_dims
-    layers = [(f"adapter{m + 1}", d_in, h[0])
-              for m, d_in in enumerate(config.input_dims)]
-    layers += [(f"trunk{i}", h[i], h[i + 1]) for i in range(len(h) - 1)]
-    layers += [("head0", h[-1], h[-1]), ("head1", h[-1], config.embed_dim)]
     params = {}
-    for name, fan_in, fan_out in layers:
+    for name, fan_in, fan_out in layers(config):
         bound = 1.0 / np.sqrt(fan_in)
         params[f"{name}.w"] = Tensor(
             rng.uniform(-bound, bound, size=(fan_in, fan_out)))
@@ -57,10 +61,17 @@ def init_params(config: EncoderConfig, k: int, seed: int) -> dict[str, Tensor]:
         # uniform bias draw collapses them toward one direction
         params[f"{name}.b"] = Tensor(np.zeros((1, fan_out)))
     bound = 1.0 / np.sqrt(config.embed_dim)
-    c = rng.uniform(-bound, bound, size=(k, config.embed_dim))
-    c /= np.sqrt((c * c).sum(axis=1, keepdims=True))
-    params["prototypes"] = Tensor(c)
+    params["prototypes"] = Tensor(unit_rows(
+        rng.uniform(-bound, bound, size=(k, config.embed_dim)))[0])
     return params
+
+
+def check_width(modality: int, expected: int, width: int) -> None:
+    """Input rows of another width than the modality's adapter takes are a
+    `UsageError`."""
+    if width != expected:
+        raise UsageError(f"modality {modality + 1} expects width {expected}, "
+                         f"got {width}")
 
 
 def embed(params: dict[str, Tensor], batch, modality: int) -> Tensor:
@@ -72,10 +83,7 @@ def embed(params: dict[str, Tensor], batch, modality: int) -> Tensor:
         raise UsageError(f"modality must be 0 or 1, got {modality}")
     x = as_matrix(batch)
     w = params[f"adapter{modality + 1}.w"]
-    if x.shape[1] != w.shape[0]:
-        raise UsageError(
-            f"modality {modality + 1} expects width {w.shape[0]}, "
-            f"got {x.shape[1]}")
+    check_width(modality, w.shape[0], x.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         h = affine(x, w, params[f"adapter{modality + 1}.b"], relu=True)
         i = 0
@@ -99,16 +107,15 @@ def prototype_scores(z: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
 def renormalize_prototypes(prototypes: Tensor) -> list[int]:
     """Rescale every prototype row to unit norm, in place.
 
-    Zero rows are re-drawn from a fixed auxiliary seed; returns their
+    All-zero rows are re-drawn from a fixed auxiliary seed; returns their
     indices.
     """
     c = prototypes.data
-    norms = np.sqrt((c * c).sum(axis=1, keepdims=True))
+    rows, norms = unit_rows(c)
     dead = np.flatnonzero(norms[:, 0] == 0.0)
     if dead.size:
         rng = np.random.default_rng(PROTOTYPE_RESEED)
-        fresh = rng.uniform(-1.0, 1.0, size=(dead.size, c.shape[1]))
-        c[dead] = fresh
-        norms = np.sqrt((c * c).sum(axis=1, keepdims=True))
-    c /= norms
+        rows[dead] = unit_rows(
+            rng.uniform(-1.0, 1.0, size=(dead.size, c.shape[1])))[0]
+    c[...] = rows
     return dead.tolist()

@@ -45,23 +45,8 @@ class Tensor:
         return self.data.shape
 
     def l2_normalize_rows(self) -> "Tensor":
-        with np.errstate(over="ignore"):
-            norms = np.sqrt((self.data * self.data).sum(axis=1,
-                                                        keepdims=True))
+        y, norms = unit_rows(self.data)
         safe = np.where(norms == 0.0, 1.0, norms)
-        y = self.data / safe
-        # squares below ~1e-308 lose bits and above ~1e308 overflow, so
-        # those rows are normalized in units of their largest entry
-        rescale = (norms[:, 0] < 1e-150) | (norms[:, 0] > 1e150)
-        if rescale.any():
-            peak = np.abs(self.data[rescale]).max(axis=1, keepdims=True)
-            peak[peak == 0.0] = 1.0
-            unit = self.data[rescale] / peak
-            scale = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
-            scale[scale == 0.0] = 1.0
-            y[rescale] = unit / scale
-            with np.errstate(over="ignore"):
-                safe[rescale] = peak * scale
 
         def backward(g):
             dot = (g * y).sum(axis=1, keepdims=True)
@@ -76,6 +61,25 @@ class Tensor:
             self.grad = g
         else:
             self.grad += g
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of `x` scaled to unit length, and the row norms as a column;
+    an all-zero row stays zero, with norm 0."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
+    rows = x / np.where(norms == 0.0, 1.0, norms)
+    # squares below ~1e-308 lose bits and above ~1e308 overflow, so
+    # those rows are normalized in units of their largest entry
+    rescale = (norms[:, 0] < 1e-150) | (norms[:, 0] > 1e150)
+    if rescale.any():
+        peak = np.abs(x[rescale]).max(axis=1, keepdims=True)
+        unit = x[rescale] / np.where(peak == 0.0, 1.0, peak)
+        scale = np.sqrt((unit * unit).sum(axis=1, keepdims=True))
+        rows[rescale] = unit / np.where(scale == 0.0, 1.0, scale)
+        with np.errstate(over="ignore"):
+            norms[rescale] = peak * scale
+    return rows, norms
 
 
 def affine(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .data import PairedCorpus, Reader, batches, check_seed, n_batches
 from .errors import FormatError, NumericalAbort, NumericalError, UsageError
-from .model import EncoderConfig, embed, init_params, renormalize_prototypes
+from .model import (EncoderConfig, check_width, embed, init_params, layers,
+                    renormalize_prototypes)
 from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
@@ -200,6 +201,8 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     """
     if corpus.n_samples == 0:
         raise UsageError("corpus is empty")
+    for m, x in enumerate((corpus.modality1, corpus.modality2)):
+        check_width(m, config.encoder.input_dims[m], x.shape[1])
     if stop_after is not None and stop_after < 0:
         raise UsageError(f"stop_after must be >= 0, got {stop_after}")
     steps_per_epoch = n_batches(corpus.n_samples, config.batch_size)
@@ -226,64 +229,61 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     # the arrays that the updates write, also where Tensor converted one
     ckpt.params = {name: p.data for name, p in params.items()}
     velocity, queue = ckpt.momentum_buffers, ckpt.queue
-    iteration, potentials = ckpt.iteration, ckpt.potentials
 
     metrics: list[MetricsRecord] = []
 
-    while iteration < stop_at:
-        epoch = iteration // steps_per_epoch
-        epoch_batches = batches(corpus, config.batch_size,
-                                epoch_shuffle_seed(config.seed, epoch))
-        start_in_epoch = iteration - epoch * steps_per_epoch
-        remaining = stop_at - iteration
-        for batch in epoch_batches[start_in_epoch:start_in_epoch + remaining]:
-            lr = cosine_lr(iteration, total_steps, config.base_lr)
-            z1 = embed(params, batch.x1, 0)
-            z2 = embed(params, batch.x2, 1)
-            rows = ((queue.rows(0), queue.rows(1))
-                    if iteration >= queue_start and queue.fill else None)
-            try:
-                # warm-start only problems that share columns with the
-                # previous one: a batch-only solve converges cold in its
-                # entry sweeps while the prototypes are frozen at random
-                loss_t, solved = swapped_loss(
-                    z1, z2, params["prototypes"], rows, config.loss,
-                    start=None if rows is None else potentials)
-            except NumericalError as exc:
-                raise NumericalAbort(iteration, batch.sample_indices,
-                                     str(exc)) from None
-            queue.push(z1.data, z2.data)
-            if rows is not None:
-                potentials = solved
-            loss_val = float(loss_t.data[0, 0])
-            if not np.isfinite(loss_val):
-                raise NumericalAbort(iteration, batch.sample_indices,
-                                     f"non-finite loss {loss_val}")
+    for iteration in range(ckpt.iteration, stop_at):
+        epoch, index = divmod(iteration, steps_per_epoch)
+        if index == 0 or not metrics:  # once per epoch that this call runs
+            epoch_batches = batches(corpus, config.batch_size,
+                                    epoch_shuffle_seed(config.seed, epoch))
+        batch = epoch_batches[index]
+        lr = cosine_lr(iteration, total_steps, config.base_lr)
+        z1 = embed(params, batch.x1, 0)
+        z2 = embed(params, batch.x2, 1)
+        rows = ((queue.rows(0), queue.rows(1))
+                if iteration >= queue_start and queue.fill else None)
+        try:
+            # warm-start only problems that share columns with the
+            # previous one: a batch-only solve converges cold in its
+            # entry sweeps while the prototypes are frozen at random
+            loss_t, solved = swapped_loss(
+                z1, z2, params["prototypes"], rows, config.loss,
+                start=None if rows is None else ckpt.potentials)
+        except NumericalError as exc:
+            raise NumericalAbort(iteration, batch.sample_indices,
+                                 str(exc)) from None
+        queue.push(z1.data, z2.data)
+        if rows is not None:
+            ckpt.potentials = solved
+        loss_val = float(loss_t.data[0, 0])
+        if not np.isfinite(loss_val):
+            raise NumericalAbort(iteration, batch.sample_indices,
+                                 f"non-finite loss {loss_val}")
 
-            grads = backward(loss_t, params)
-            frozen = iteration < freeze_iters
-            if lr != 0.0:  # zero step size leaves every tensor bit-identical
-                for name, p in params.items():
-                    if frozen and name == "prototypes":
-                        continue
-                    v = velocity[name]
-                    v *= config.momentum
-                    v += grads[name]
-                    p.data -= lr * v
-                if not frozen:
-                    renormalize_prototypes(params["prototypes"])
+        grads = backward(loss_t, params)
+        frozen = iteration < freeze_iters
+        if lr != 0.0:  # zero step size leaves every tensor bit-identical
+            for name, p in params.items():
+                if frozen and name == "prototypes":
+                    continue
+                v = velocity[name]
+                v *= config.momentum
+                v += grads[name]
+                p.data -= lr * v
+            if not frozen:
+                renormalize_prototypes(params["prototypes"])
 
-            code_ent = _code_usage_entropy(z1.data, z2.data,
-                                           params["prototypes"].data,
-                                           config.loss)
-            record = MetricsRecord(iteration, epoch, loss_val, lr,
-                                   code_ent, queue.fill)
-            metrics.append(record)
-            if metrics_sink is not None:
-                metrics_sink(record)
-            iteration += 1
+        code_ent = _code_usage_entropy(z1.data, z2.data,
+                                       params["prototypes"].data,
+                                       config.loss)
+        record = MetricsRecord(iteration, epoch, loss_val, lr,
+                               code_ent, queue.fill)
+        metrics.append(record)
+        if metrics_sink is not None:
+            metrics_sink(record)
+        ckpt.iteration = iteration + 1
 
-    ckpt.iteration, ckpt.potentials = iteration, potentials
     return ckpt, metrics
 
 
@@ -358,8 +358,16 @@ def load_checkpoint(path) -> Checkpoint:
     reader = Reader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     cfg_text = reader.bytes(reader.u32("config length"), "config text")
     try:
-        ckpt = random_init_checkpoint(
-            config_from_text(cfg_text.decode("utf-8")))
+        config = config_from_text(cfg_text.decode("utf-8"))
+        # a config can describe more data than any file holds: look for 8
+        # bytes per element of the parameters, momentum, queues and state
+        d = config.encoder.embed_dim
+        n_params = config.k_prototypes * d + sum(
+            (fan_in + 1) * fan_out
+            for _, fan_in, fan_out in layers(config.encoder))
+        reader.expect(8 * (2 * n_params + 2 * config.loss.queue_length * d
+                           + 2), "tensor data")
+        ckpt = random_init_checkpoint(config)
     except (UnicodeDecodeError, UsageError) as exc:
         raise FormatError(f"bad config text at offset 12: {exc}") from None
     count, base = reader.u32("tensor count"), len(_tensors(ckpt))

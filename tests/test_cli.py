@@ -296,8 +296,7 @@ class TestExitCodes:
          EXIT_USAGE, "usage error: stop_after must be >= 0, got -3"),
         ({"train.cfg": "encoder.d1=20\nencoder.d2=8\n"},
          "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
-         EXIT_USAGE,
-         "usage error: --config sets encoder.d1=20 but the corpus has 8"),
+         EXIT_USAGE, "usage error: modality 1 expects width 20, got 8"),
         ({"v1.ckpt": "MMCK\x01\x00\x00\x00"},
          "probe --ckpt {tmp}/v1.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: unsupported checkpoint version 1 at offset 4"),
@@ -363,6 +362,23 @@ class TestExitCodes:
               ("pretrain --data {corpus} --out {tmp}/x.ckpt", "seed"),
               *[(f"probe --ckpt {{ckpt}} --data {{corpus}} --probe {kind}",
                  "split_seed") for kind in ("linear", "knn")]]],
+        *[({}, f"pretrain --data {{tmp}}/wide.mmp --out {{tmp}}/x.ckpt "
+               f"--resume {ckpt}",
+           EXIT_USAGE, "usage error: modality 1 expects width 8, got 12")
+          for ckpt in ("{tmp}/mid.ckpt", "{ckpt}")],
+        ({}, "probe --ckpt {ckpt} --data {corpus} --probe cluster --seed -5",
+         EXIT_USAGE, "usage error: split_seed must be >= 0, got -5"),
+        ({}, "probe --ckpt {ckpt} --data {corpus} --probe linear --knn-k -3",
+         EXIT_USAGE, "usage error: k_neighbors must be >= 1, got -3"),
+        ({"scores.csv": "1,2\n3,4\n"},
+         "codes --scores {tmp}/scores.csv --converged --iters 0",
+         EXIT_USAGE, "usage error: n_iterations must be >= 1, got 0"),
+        ({"big.ckpt": "MMCK\x03\x00\x00\x00\x22\x00\x00\x00"
+                      "encoder.hidden_dims=1000000000000\n"},
+         "probe --ckpt {tmp}/big.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: truncated checkpoint: tensor data needs "
+                  "16000000003120000000559120 bytes at offset 46, file is "
+                  "46 bytes"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -376,6 +392,12 @@ class TestExitCodes:
         save_corpus(big, tmp_path / "big.mmp")
         save_corpus(PairedCorpus(corpus.modality1[:0], corpus.modality2[:0],
                                  corpus.labels[:0]), tmp_path / "empty.mmp")
+        save_corpus(PairedCorpus(
+            np.hstack([corpus.modality1, corpus.modality1[:, :4]]),
+            corpus.modality2, corpus.labels), tmp_path / "wide.mmp")
+        mid = load_checkpoint(trained_ckpt)
+        mid.iteration = 8  # halfway through the 16 steps
+        save_checkpoint(mid, tmp_path / "mid.ckpt")
         corpus.modality1[5, 0] = np.nan
         save_corpus(corpus, tmp_path / "nan.mmp")
         ckpt = load_checkpoint(trained_ckpt)

@@ -142,8 +142,11 @@ class TestPrototypeScores:
 
 
 class TestRenormalizePrototypes:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_back_to_unit(self):
-        prototypes = Tensor(np.array([[3.0, 4.0], [0.5, 0.0]]))
+        # the squares of the last two rows overflow and underflow
+        prototypes = Tensor(np.array([[3.0, 4.0], [0.5, 0.0],
+                                      [1e200, 1e200], [1e-200, 1e-200]]))
         assert renormalize_prototypes(prototypes) == []
         np.testing.assert_allclose(np.linalg.norm(prototypes.data, axis=1),
                                    1.0)

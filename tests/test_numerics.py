@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from mmproto.errors import NumericalError, UsageError
 from mmproto.numerics import (Tensor, affine, backward, cross_entropy,
                               finite_difference, log_softmax_rows,
-                              relative_gradient_error)
+                              relative_gradient_error, unit_rows)
 
 finite_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -132,6 +132,11 @@ class TestL2NormalizeRows:
         np.testing.assert_allclose(once, twice, atol=1e-9)
         nonzero = (m != 0).any(axis=1)
         np.testing.assert_allclose(np.linalg.norm(once[nonzero], axis=1), 1.0)
+        rows, norms = unit_rows(np.asarray(m, dtype=np.float64))
+        np.testing.assert_array_equal(rows, once)
+        np.testing.assert_allclose(rows * norms, m, rtol=1e-12,
+                                   atol=1e-12 * norms.max())
+        assert (norms[~nonzero] == 0).all()
 
 
 class TestBackward:
