@@ -3,8 +3,9 @@ Sinkhorn demo, and gradient verification.
 
 Every run writes a JSON manifest next to its primary output with the fully
 resolved configuration, so any result can be reproduced from the manifest
-alone. Exit codes: 0 success, 1 I/O error, otherwise the `exit_code` of
-the `mmproto.errors` class raised (1 file format, 2 usage, 3 numerical).
+alone. Exit codes: 0 success, 1 I/O error or out of memory, otherwise
+the `exit_code` of the `mmproto.errors` class raised (1 file format,
+2 usage, 3 numerical).
 """
 from __future__ import annotations
 
@@ -270,6 +271,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

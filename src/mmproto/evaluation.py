@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import PairedCorpus, check_seed, permutation
 from .errors import NumericalError, UsageError
-from .model import embed, prototype_scores
+from .model import embed
 from .numerics import Tensor, affine, as_matrix, backward, cross_entropy
 from .trainer import Checkpoint, model_from_checkpoint
 
@@ -83,14 +83,17 @@ def _test_size(n_samples: int, fraction: float) -> int:
 
 def _probe(kind: str, ckpt: Checkpoint, corpus: PairedCorpus,
            split_seed: int, modality: str, predict) -> ProbeReport:
-    """Score `predict(train_z, train_labels, test_z)`, the predicted test
-    labels, on a seeded hold-out of `TEST_FRACTION` of the samples."""
+    """Score `predict(train_z, train_ids, test_z, n_classes)`, the predicted
+    test class indices, on a seeded hold-out of `TEST_FRACTION` of the
+    samples. Labels are class ids: the predictors see each as its index
+    among the corpus's distinct labels."""
     check_seed("split_seed", split_seed)
     n_test = _test_size(corpus.n_samples, TEST_FRACTION)
     z, _ = _embeddings(ckpt, corpus, modality)
+    classes, ids = np.unique(corpus.labels, return_inverse=True)
     order = permutation(corpus.n_samples, split_seed)
     train, test = order[n_test:], order[:n_test]
-    pred = predict(z[train], corpus.labels[train], z[test])
+    pred = classes[predict(z[train], ids[train], z[test], len(classes))]
     truth = corpus.labels[test]
     per_class = {int(cls): float((pred[truth == cls] == cls).mean())
                  for cls in np.unique(truth)}
@@ -117,9 +120,8 @@ def train_linear_classifier(features: np.ndarray, labels: np.ndarray,
 
 def linear_probe(ckpt: Checkpoint, corpus: PairedCorpus, split_seed: int,
                  modality: str = "m1") -> ProbeReport:
-    def predict(train_z, train_labels, test_z):
-        w, b = train_linear_classifier(train_z, train_labels,
-                                       int(corpus.labels.max()) + 1)
+    def predict(train_z, train_ids, test_z, n_classes):
+        w, b = train_linear_classifier(train_z, train_ids, n_classes)
         return (test_z @ w + b).argmax(axis=1)
     return _probe("linear", ckpt, corpus, split_seed, modality, predict)
 
@@ -134,17 +136,17 @@ def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
               split_seed: int, modality: str = "m1") -> ProbeReport:
     check_neighbors(k_neighbors)
 
-    def predict(train_z, train_labels, test_z):
+    def predict(train_z, train_ids, test_z, n_classes):
         if k_neighbors > len(train_z):
             raise UsageError(
                 f"k_neighbors {k_neighbors} exceeds train size {len(train_z)}")
         pred = np.empty(len(test_z), dtype=np.int64)
         for i, row in enumerate(test_z @ train_z.T):  # unit rows: cosine
             nearest = np.argsort(-row, kind="stable")[:k_neighbors]
-            votes = np.bincount(train_labels[nearest])
+            votes = np.bincount(train_ids[nearest])
             winners = np.flatnonzero(votes == votes.max())
             pred[i] = (winners[0] if len(winners) == 1
-                       else train_labels[nearest[0]])  # tie: single nearest
+                       else train_ids[nearest[0]])  # tie: single nearest
         return pred
     return _probe("knn", ckpt, corpus, split_seed, modality, predict)
 
@@ -185,8 +187,7 @@ def cluster_agreement(ckpt: Checkpoint, corpus: PairedCorpus,
             f"the cluster probe takes modality m1 or m2, got {modality!r}")
     _test_size(corpus.n_samples, 1.0)  # it scores every sample
     z, prototypes = _embeddings(ckpt, corpus, modality)
-    scores = prototype_scores(z, prototypes)  # K x n
-    assignments = scores.argmax(axis=0)
+    assignments = (prototypes @ z.T).argmax(axis=0)  # K x n scores
     sizes = np.bincount(assignments, minlength=prototypes.shape[0])
     return ClusterReport(
         nmi=normalized_mutual_information(assignments, corpus.labels),

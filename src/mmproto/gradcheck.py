@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .data import check_seed
 from .model import EncoderConfig, embed, init_params
 from .numerics import (Tensor, affine, backward, cross_entropy,
                        finite_difference, relative_gradient_error, unit_rows)
@@ -47,8 +47,7 @@ def _check(name, build_loss, params) -> CheckResult:
 
 
 def run_suite(seed: int = 0) -> list[CheckResult]:
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     results = []
 

@@ -96,14 +96,6 @@ def embed(params: dict[str, Tensor], batch, modality: int) -> Tensor:
                       ).l2_normalize_rows()
 
 
-def prototype_scores(z: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """scores[k, b] = c_k . z_b, shape K x B."""
-    if z.shape[1] != prototypes.shape[1]:
-        raise UsageError(f"embedding dim {z.shape[1]} vs prototype dim "
-                         f"{prototypes.shape[1]}")
-    return prototypes @ z.T
-
-
 def renormalize_prototypes(prototypes: Tensor) -> list[int]:
     """Rescale every prototype row to unit norm, in place.
 

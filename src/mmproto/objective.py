@@ -24,7 +24,7 @@ from .sinkhorn import SinkhornConfig, compute_codes
 class LossConfig:
     temperature: float = 0.1
     sinkhorn: SinkhornConfig = field(default_factory=SinkhornConfig)
-    queue_length: int = 1920
+    queue_length: int = 256
     queue_start_iteration: int = -1  # -1: resolved to one epoch by the trainer
 
     def __post_init__(self):

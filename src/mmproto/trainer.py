@@ -29,7 +29,7 @@ from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 #: the per-modality prototype potentials, written only when a run holds them
 POTENTIALS = ("potentials.m1", "potentials.m2")
 
@@ -41,7 +41,7 @@ class TrainConfig:
     base_lr: float = 0.5
     momentum: float = 0.9
     prototype_freeze_iterations: int = -1  # -1: one epoch
-    loss: LossConfig = field(default_factory=lambda: LossConfig(queue_length=256))
+    loss: LossConfig = field(default_factory=LossConfig)
     k_prototypes: int = 16
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     seed: int = 0
@@ -84,6 +84,7 @@ class Checkpoint:
     queue: FeatureQueue
     iteration: int
     potentials: tuple[np.ndarray, np.ndarray] | None  # None: next start cold
+    n_samples: int = 0  # of the corpus the run trains on; 0: not yet trained
 
 
 # ---- canonical config text ----------------------------------------------
@@ -207,7 +208,8 @@ def train(corpus: PairedCorpus, config: TrainConfig,
         raise UsageError(f"stop_after must be >= 0, got {stop_after}")
     steps_per_epoch = n_batches(corpus.n_samples, config.batch_size)
     if steps_per_epoch == 0:
-        raise UsageError("batch_size leaves no usable batches")
+        raise UsageError(f"a corpus of {corpus.n_samples} sample leaves "
+                         f"only a trailing batch of 1, which training drops")
     total_steps = steps_per_epoch * config.epochs
     stop_at = total_steps if stop_after is None else min(stop_after,
                                                          total_steps)
@@ -221,10 +223,15 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     else:
         if resume_from.config != config:
             raise UsageError("resume config differs from checkpoint config")
+        if resume_from.n_samples not in (0, corpus.n_samples):  # 0: untrained
+            raise UsageError(f"the checkpoint's run trains on "
+                             f"{resume_from.n_samples} samples, the corpus "
+                             f"has {corpus.n_samples}")
         if stop_after is not None and stop_after < resume_from.iteration:
             raise UsageError(f"stop_after {stop_after} is below the resumed "
                              f"iteration {resume_from.iteration}")
         ckpt = copy.deepcopy(resume_from)
+    ckpt.n_samples = corpus.n_samples
     params = {name: Tensor(value) for name, value in ckpt.params.items()}
     # the arrays that the updates write, also where Tensor converted one
     ckpt.params = {name: p.data for name, p in params.items()}
@@ -332,7 +339,8 @@ def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     tensors += zip(("queue.m1", "queue.m2"), ckpt.queue.buffers)
     if ckpt.potentials is not None:
         tensors += zip(POTENTIALS, ckpt.potentials)
-    state = np.array([float(ckpt.iteration), float(ckpt.queue.fill)])
+    state = np.array([float(ckpt.iteration), float(ckpt.queue.fill),
+                      float(ckpt.n_samples)])
     return tensors + [("state", state)]
 
 
@@ -366,7 +374,7 @@ def load_checkpoint(path) -> Checkpoint:
             (fan_in + 1) * fan_out
             for _, fan_in, fan_out in layers(config.encoder))
         reader.expect(8 * (2 * n_params + 2 * config.loss.queue_length * d
-                           + 2), "tensor data")
+                           + 3), "tensor data")
         ckpt = random_init_checkpoint(config)
     except (UnicodeDecodeError, UsageError) as exc:
         raise FormatError(f"bad config text at offset 12: {exc}") from None
@@ -394,10 +402,9 @@ def load_checkpoint(path) -> Checkpoint:
     reader.end()
 
     state = tensors[-1][1]  # _tensors ends with the run state
-    iteration, fill = state
     if not (all(x >= 0 and float(x).is_integer() for x in state)
-            and fill <= ckpt.queue.capacity):
+            and state[1] <= ckpt.queue.capacity):  # [1]: the queue fill
         raise FormatError(
             f"tensor state holds no valid run state: {state.tolist()}")
-    ckpt.iteration, ckpt.queue.fill = int(iteration), int(fill)
+    ckpt.iteration, ckpt.queue.fill, ckpt.n_samples = map(int, state)
     return ckpt

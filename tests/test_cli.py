@@ -204,6 +204,19 @@ class TestProbe:
                          "--data", str(corpus_file), "--probe", "quadratic")
         assert code == EXIT_USAGE
 
+    def test_small_gen_data_corpus(self, tmp_path, capsys):
+        """5 samples of 8 clusters: labels at or above the sample count are
+        class ids that train and probe like any other."""
+        corpus, ckpt = tmp_path / "five.mmp", tmp_path / "five.ckpt"
+        assert main(["gen-data", "--n", "5", "--out", str(corpus)]) == EXIT_OK
+        assert load_corpus(corpus).labels.max() >= 5
+        assert run(capsys, "pretrain", "--data", str(corpus), "--out",
+                   str(ckpt), "--epochs", "2", "--batch-size", "4")[0] == EXIT_OK
+        for kind in ("linear", "knn", "cluster"):
+            assert run(capsys, "probe", "--ckpt", str(ckpt), "--data",
+                       str(corpus), "--probe", kind,
+                       "--knn-k", "1")[0] == EXIT_OK
+
     @pytest.mark.parametrize("kind", ["linear", "knn"])
     @pytest.mark.filterwarnings("error")
     def test_no_test_sample_usage_error(self, tmp_path, trained_ckpt, capsys,
@@ -373,12 +386,31 @@ class TestExitCodes:
         ({"scores.csv": "1,2\n3,4\n"},
          "codes --scores {tmp}/scores.csv --converged --iters 0",
          EXIT_USAGE, "usage error: n_iterations must be >= 1, got 0"),
-        ({"big.ckpt": "MMCK\x03\x00\x00\x00\x22\x00\x00\x00"
+        ({"big.ckpt": "MMCK\x04\x00\x00\x00\x22\x00\x00\x00"
                       "encoder.hidden_dims=1000000000000\n"},
          "probe --ckpt {tmp}/big.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: truncated checkpoint: tensor data needs "
-                  "16000000003120000000559120 bytes at offset 46, file is "
+                  "16000000003120000000559128 bytes at offset 46, file is "
                   "46 bytes"),
+        *[({}, f"pretrain --data {{tmp}}/short.mmp --out {{tmp}}/x.ckpt "
+               f"--resume {ckpt}",
+           EXIT_USAGE, "usage error: the checkpoint's run trains on 120 "
+                       "samples, the corpus has 90")
+          for ckpt in ("{tmp}/mid.ckpt", "{ckpt}")],
+        ({"v3.ckpt": "MMCK\x03\x00\x00\x00"},
+         "probe --ckpt {tmp}/v3.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: unsupported checkpoint version 3 at offset 4"),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt "
+             "--queue-length 1000000000000",
+         EXIT_IO, "error: out of memory: Unable to allocate "),
+        ({"train.cfg": "# note\n\nepochs\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE, "usage error: config line 3 is not key=value: 'epochs'"),
+        ({}, f"gradcheck --seed {2**64}",
+         EXIT_USAGE, f"usage error: seed must be < 2**64, got {2**64}"),
+        ({}, "pretrain --data {tmp}/one.mmp --out {tmp}/x.ckpt",
+         EXIT_USAGE, "usage error: a corpus of 1 sample leaves only a "
+                     "trailing batch of 1, which training drops"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -390,8 +422,9 @@ class TestExitCodes:
                            corpus.labels)
         big.modality1[7] = 1.7e308  # finite, but overflows the encoder
         save_corpus(big, tmp_path / "big.mmp")
-        save_corpus(PairedCorpus(corpus.modality1[:0], corpus.modality2[:0],
-                                 corpus.labels[:0]), tmp_path / "empty.mmp")
+        for name, n in (("empty.mmp", 0), ("one.mmp", 1), ("short.mmp", 90)):
+            save_corpus(PairedCorpus(corpus.modality1[:n], corpus.modality2[:n],
+                                     corpus.labels[:n]), tmp_path / name)
         save_corpus(PairedCorpus(
             np.hstack([corpus.modality1, corpus.modality1[:, :4]]),
             corpus.modality2, corpus.labels), tmp_path / "wide.mmp")

@@ -166,17 +166,18 @@ class TestCorpusFile:
         with pytest.raises(FormatError, match="truncated"):
             load_corpus(path)
 
-    def test_label_out_of_range(self, tmp_path):
+    def test_label_is_any_u4(self, tmp_path):
+        """A label is a class id: one of 2**31 and up in a corpus of 10
+        samples reads back as it is."""
         path = tmp_path / "c.mmp"
         corpus = generate(small_spec(n_samples=10))
         save_corpus(corpus, path)
         blob = bytearray(path.read_bytes())
-        at = len(blob) - 4 * 7  # label of sample 3
-        blob[at + 3] |= 0x80
+        blob[len(blob) - 4 * 7 + 3] |= 0x80  # label of sample 3
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match=f"label {2**31 + corpus.labels[3]}"
-                                              f" at offset {at} is not below"):
-            load_corpus(path)
+        labels = corpus.labels.copy()
+        labels[3] += 2**31
+        np.testing.assert_array_equal(load_corpus(path).labels, labels)
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "c.mmp"

@@ -100,6 +100,24 @@ class TestKnnProbe:
         assert 0.0 <= report.accuracy <= 1.0
 
 
+class TestClassIds:
+    @pytest.mark.parametrize("probe", [
+        lambda ckpt, corpus: linear_probe(ckpt, corpus, split_seed=3),
+        lambda ckpt, corpus: knn_probe(ckpt, corpus, 5, split_seed=3)],
+        ids=["linear", "knn"])
+    def test_labels_are_ids_not_sizes(self, probe):
+        """Labels far above the sample count, in the same order, give the
+        same report under the new labels: no probe allocates by a label."""
+        corpus = probe_corpus()
+        ids = PairedCorpus(corpus.modality1, corpus.modality2,
+                           2**31 + 7 * corpus.labels)
+        ckpt = random_init_checkpoint(probe_config())
+        want, got = probe(ckpt, corpus), probe(ckpt, ids)
+        assert got.accuracy == want.accuracy
+        assert got.per_class_accuracy == {
+            2**31 + 7 * c: v for c, v in want.per_class_accuracy.items()}
+
+
 def cellwise_nmi(a, b):
     """NMI summed cell by cell in Python: the reference for the table."""
     n = len(a)

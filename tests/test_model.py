@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mmproto.errors import UsageError
 from mmproto.model import (EncoderConfig, embed, init_params,
-                           prototype_scores, renormalize_prototypes)
+                           renormalize_prototypes)
 from mmproto.numerics import (Tensor, backward, cross_entropy,
                               finite_difference, relative_gradient_error)
 
@@ -116,29 +114,6 @@ class TestEmbed:
         raw = {name: p.data for name, p in params.items()}
         numeric = finite_difference(scalar, raw)
         assert relative_gradient_error(analytic, numeric) < 1e-4
-
-
-class TestPrototypeScores:
-    def test_hand_computed(self):
-        prototypes = np.array([[1.0, 0.0], [0.0, 1.0]])
-        z = np.array([[0.6, 0.8]])
-        np.testing.assert_allclose(prototype_scores(z, prototypes),
-                                   [[0.6], [0.8]])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(UsageError):
-            prototype_scores(np.zeros((3, 4)), np.eye(2))
-
-    @given(seed=st.integers(0, 1000))
-    @settings(max_examples=25, deadline=None)
-    def test_scores_bounded_for_unit_rows(self, seed):
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal((4, 6))
-        c /= np.linalg.norm(c, axis=1, keepdims=True)
-        z = rng.standard_normal((5, 6))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        scores = prototype_scores(z, c)
-        assert np.abs(scores).max() <= 1.0 + 1e-12
 
 
 class TestRenormalizePrototypes:

@@ -31,7 +31,7 @@ class TestLossConfig:
     def test_defaults(self):
         cfg = LossConfig()
         assert cfg.temperature == 0.1
-        assert cfg.queue_length == 1920
+        assert cfg.queue_length == 256
 
     def test_temperature_positive(self):
         with pytest.raises(UsageError):
