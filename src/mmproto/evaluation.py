@@ -14,7 +14,7 @@ import numpy as np
 from .data import PairedCorpus, check_seed, permutation
 from .errors import NumericalError, UsageError
 from .model import embed
-from .numerics import Tensor, affine, as_matrix, backward, cross_entropy
+from .numerics import Tensor, as_matrix, backward, cross_entropy_sum
 from .trainer import Checkpoint, model_from_checkpoint
 
 PROBE_STEPS = 500
@@ -101,21 +101,43 @@ def _probe(kind: str, ckpt: Checkpoint, corpus: PairedCorpus,
                        len(train), len(test))
 
 
+def classifier_loss(x: np.ndarray, w: Tensor, b: Tensor,
+                    targets: np.ndarray) -> Tensor:
+    """Mean over the n rows of `x` of the cross-entropy of the softmax
+    classifier `w @ xᵀ + b` (C x n logits, `w` C x d, `b` C x 1) against
+    the C x n `targets`, as one node."""
+    n = x.shape[0]
+    s = w.data @ x.T
+    s += b.data
+    # cross_entropy_sum keeps the memory order of the n x C views it is
+    # given, so every max and sum of its log-softmax runs along the
+    # contiguous n-long axis rather than across the C classes of a row
+    value, grad = cross_entropy_sum(s.T, targets.T)
+    grad = grad.T
+
+    def backward(g):
+        gs = grad * (g[0, 0] / n)
+        w._accum(gs @ x)
+        b._accum(gs.sum(axis=1, keepdims=True))
+
+    return Tensor([[value / n]], (w, b), backward)
+
+
 def train_linear_classifier(features: np.ndarray, labels: np.ndarray,
                             n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch softmax regression trained with the gradient tape."""
+    """Full-batch softmax regression trained with the gradient tape; the
+    weights come back d x C and the biases 1 x C."""
     n, d = features.shape
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
+    onehot = np.zeros((n_classes, n))
+    onehot[labels, np.arange(n)] = 1.0
 
-    w, b = Tensor(np.zeros((d, n_classes))), Tensor(np.zeros((1, n_classes)))
+    w, b = Tensor(np.zeros((n_classes, d))), Tensor(np.zeros((n_classes, 1)))
     x = as_matrix(features)
     for _ in range(PROBE_STEPS):
-        grads = backward(cross_entropy(affine(x, w, b), onehot),
-                         {"w": w, "b": b})
+        grads = backward(classifier_loss(x, w, b, onehot), {"w": w, "b": b})
         w.data -= PROBE_LR * grads["w"]
         b.data -= PROBE_LR * grads["b"]
-    return w.data, b.data
+    return w.data.T, b.data.T
 
 
 def linear_probe(ckpt: Checkpoint, corpus: PairedCorpus, split_seed: int,
@@ -132,6 +154,23 @@ def check_neighbors(k_neighbors: int) -> None:
         raise UsageError(f"k_neighbors must be >= 1, got {k_neighbors}")
 
 
+def nearest_neighbors(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the `k` highest `scores`, highest first and equal scores
+    in index order: `np.argsort(-scores, kind="stable")[:k]`, with only
+    the scores at or above the k-th highest sorted."""
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    candidates = np.flatnonzero(scores >= kth)
+    order = np.argsort(-scores[candidates], kind="stable")
+    return candidates[order[:k]]
+
+
+def majority_vote(classes: np.ndarray) -> int:
+    """The most frequent of the neighbors' `classes`, given nearest first;
+    a tie goes to the class of the nearest neighbor among the tied ones."""
+    votes = np.bincount(classes)
+    return int(classes[np.argmax(votes[classes] == votes.max())])
+
+
 def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
               split_seed: int, modality: str = "m1") -> ProbeReport:
     check_neighbors(k_neighbors)
@@ -142,11 +181,8 @@ def knn_probe(ckpt: Checkpoint, corpus: PairedCorpus, k_neighbors: int,
                 f"k_neighbors {k_neighbors} exceeds train size {len(train_z)}")
         pred = np.empty(len(test_z), dtype=np.int64)
         for i, row in enumerate(test_z @ train_z.T):  # unit rows: cosine
-            nearest = np.argsort(-row, kind="stable")[:k_neighbors]
-            votes = np.bincount(train_ids[nearest])
-            winners = np.flatnonzero(votes == votes.max())
-            pred[i] = (winners[0] if len(winners) == 1
-                       else train_ids[nearest[0]])  # tie: single nearest
+            pred[i] = majority_vote(
+                train_ids[nearest_neighbors(row, k_neighbors)])
         return pred
     return _probe("knn", ckpt, corpus, split_seed, modality, predict)
 

@@ -1,4 +1,5 @@
-"""Finite-difference verification of every gradient path in the objective.
+"""Finite-difference verification of every gradient path in the objective
+and the linear probe.
 
 Each check rebuilds the loss from raw parameter arrays so central
 differences probe exactly what the tape claims to differentiate; Sinkhorn
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_seed
+from .evaluation import classifier_loss
 from .model import EncoderConfig, embed, init_params
 from .numerics import (Tensor, affine, backward, cross_entropy,
                        finite_difference, relative_gradient_error, unit_rows)
@@ -66,6 +68,12 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     results.append(_check(
         "cross_entropy", lambda p: cross_entropy(p["s"], targets, 0.1),
         {"s": rng.standard_normal((4, 6))}))
+    # the linear probe's classifier: 6 classes x 4 samples of width 3
+    x = rng.standard_normal((4, 3))
+    results.append(_check(
+        "linear_probe",
+        lambda p: classifier_loss(x, p["w"], p["b"], targets.T),
+        {"w": rng.standard_normal((6, 3)), "b": rng.standard_normal((6, 1))}))
 
     results.append(_full_loss_check("swapped_loss", seed, use_queue=False))
     results.append(_full_loss_check("swapped_loss_queue", seed,

@@ -94,8 +94,8 @@ def test_criterion_3_gradient_correctness():
     results = run_suite(seed=0)
     elapsed = time.time() - start
     names = {r.op for r in results}
-    assert {"affine", "l2_normalize", "cross_entropy", "swapped_loss",
-            "swapped_loss_queue"} <= names
+    assert {"affine", "l2_normalize", "cross_entropy", "linear_probe",
+            "swapped_loss", "swapped_loss_queue"} <= names
     for r in results:
         assert r.passed, (f"{r.op}: relative error "
                           f"{r.max_relative_error:.3e} >= 1e-4")

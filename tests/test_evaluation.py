@@ -5,10 +5,14 @@ from hypothesis import strategies as st
 
 from mmproto.data import CorpusSpec, PairedCorpus, generate
 from mmproto.errors import UsageError
-from mmproto.evaluation import (cluster_agreement, knn_probe, linear_probe,
+from mmproto.evaluation import (PROBE_LR, PROBE_STEPS, cluster_agreement,
+                                knn_probe, linear_probe, majority_vote,
+                                nearest_neighbors,
                                 normalized_mutual_information, purity_score,
                                 train_linear_classifier)
 from mmproto.model import EncoderConfig, embed
+from mmproto.numerics import (Tensor, affine, as_matrix, backward,
+                              cross_entropy, unit_rows)
 from mmproto.objective import LossConfig
 from mmproto.sinkhorn import SinkhornConfig
 from mmproto.trainer import (TrainConfig, model_from_checkpoint,
@@ -42,6 +46,29 @@ class TestLinearClassifier:
         w, b = train_linear_classifier(onehot, labels, 3)
         pred = (onehot @ w + b).argmax(axis=1)
         assert (pred == labels).all()
+
+    def test_matches_samples_by_classes_loop(self):
+        """The classes x samples classifier trains the weights of the
+        samples x classes loop `cross_entropy(affine(x, w, b), onehot)`."""
+        rng = np.random.default_rng(11)
+        x, _ = unit_rows(rng.standard_normal((300, 6)))
+        x[250:] = x[:50]  # duplicated rows
+        labels = rng.integers(0, 4, size=300)
+
+        onehot = np.eye(4)[labels]
+        w, b = Tensor(np.zeros((6, 4))), Tensor(np.zeros((1, 4)))
+        for _ in range(PROBE_STEPS):
+            grads = backward(cross_entropy(affine(as_matrix(x), w, b), onehot),
+                             {"w": w, "b": b})
+            w.data -= PROBE_LR * grads["w"]
+            b.data -= PROBE_LR * grads["b"]
+
+        got_w, got_b = train_linear_classifier(x, labels, 4)
+        assert got_w.shape == (6, 4) and got_b.shape == (1, 4)
+        np.testing.assert_allclose(got_w, w.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_b, b.data, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal((x @ got_w + got_b).argmax(axis=1),
+                                      (x @ w.data + b.data).argmax(axis=1))
 
 
 class TestLinearProbe:
@@ -98,6 +125,34 @@ class TestKnnProbe:
         ckpt = random_init_checkpoint(probe_config())
         report = knn_probe(ckpt, probe_corpus(), 5, split_seed=2)
         assert 0.0 <= report.accuracy <= 1.0
+
+
+class TestNearestNeighbors:
+    @given(seed=st.integers(0, 10_000), n_distinct=st.integers(1, 8),
+           n_train=st.integers(5, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_partition_matches_stable_sort(self, seed, n_distinct, n_train):
+        """Training rows drawn with repeats from a few distinct rows score
+        exact ties, which both orders break by index."""
+        rng = np.random.default_rng(seed)
+        distinct, _ = unit_rows(rng.standard_normal((n_distinct, 4)))
+        train_z = distinct[rng.integers(0, n_distinct, size=n_train)]
+        test_z, _ = unit_rows(rng.standard_normal((3, 4)))
+        for row in test_z @ train_z.T:
+            assert len(np.unique(row)) <= n_distinct
+            for k in (1, 5, n_train):
+                np.testing.assert_array_equal(
+                    nearest_neighbors(row, k),
+                    np.argsort(-row, kind="stable")[:k])
+
+
+class TestMajorityVote:
+    def test_tie_goes_to_nearest_tied_class(self):
+        # votes 2 / 2 / 1: class 2 is nearest but not among the winners
+        assert majority_vote(np.array([2, 0, 0, 1, 1])) == 0
+
+    def test_majority_beats_nearest(self):
+        assert majority_vote(np.array([2, 1, 1, 0, 1])) == 1
 
 
 class TestClassIds:
