@@ -104,9 +104,14 @@ def compute_codes(scores, config: SinkhornConfig,
     1/(K B).
     """
     scores = as_matrix(scores)
-    if not np.isfinite(scores).all():
-        raise NumericalError("scores contain NaN or Inf")
-    k, b = scores.shape
+    with np.errstate(over="ignore"):
+        s = scores / config.epsilon
+    if not np.isfinite(s).all():  # 0 < epsilon < inf keeps NaN and Inf
+        if not np.isfinite(scores).all():
+            raise NumericalError("scores contain NaN or Inf")
+        raise NumericalError(f"scores / epsilon overflow at epsilon "
+                             f"{config.epsilon}; raise epsilon")
+    k, b = s.shape
     if start is not None and np.shape(start) != (k,):
         raise UsageError(f"start potentials {np.shape(start)} for {k} rows")
     if start is not None and not np.isfinite(start).all():
@@ -114,11 +119,6 @@ def compute_codes(scores, config: SinkhornConfig,
     tol = config.convergence_tolerance
     if min(k, b) == 1:
         return CodeMatrix(np.full((k, b), 1.0 / (k * b)), converged=True)
-    with np.errstate(over="ignore"):
-        s = scores / config.epsilon
-    if not np.isfinite(s).all():
-        raise NumericalError(f"scores / epsilon overflow at epsilon "
-                             f"{config.epsilon}; raise epsilon")
     if tol > 0.0:
         with np.errstate(all="ignore"):  # it rejects non-finite steps
             return _converged_solve(s, tol, config.n_iterations, start)
@@ -148,7 +148,7 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
                      start: np.ndarray | None) -> CodeMatrix:
     """Fixed point of Diag(lambda) exp(log_kernel) Diag(mu) with uniform
     marginals, via Newton steps on the potentials. A cold solve enters with
-    log-domain sweeps from u = v = 0; a warm one centres `start` as u and
+    log-domain sweeps from v = 0; a warm one centres `start` as u and
     fits v to it with one column half-sweep (Thornton & Cuturi,
     arXiv:2206.07630).
 
@@ -158,6 +158,7 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
     the Newton step. The Newton loop allocates no K x B array."""
     k, b = log_kernel.shape
     log_r, log_c = -np.log(k), -np.log(b)
+    r, c = 1.0 / k, 1.0 / b
     m = np.empty_like(log_kernel)
     work = np.empty_like(log_kernel)
 
@@ -165,34 +166,31 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
         return log_c - _logsumexp(
             np.add(log_kernel, u[:, None], out=work), axis=0)
 
-    def sweep(u, v):
+    def sweep(v):
         u = log_r - _logsumexp(
             np.add(log_kernel, v[None, :], out=work), axis=1)
         return u, column_sweep(u)
 
-    def log_m(u, v):  # log_kernel + u + v, into m
-        return np.add(np.add(log_kernel, u[:, None], out=m), v[None, :],
-                      out=m)
+    def kernel(u, v):
+        """exp(min(log_kernel + u + v, 60)) into m, with its row sums, column
+        sums and max-norm marginal residual. A kernel that hits the clamp has
+        a mass above e^60 and is never accepted; a swept one never nears it."""
+        np.add(np.add(log_kernel, u[:, None], out=m), v[None, :], out=m)
+        np.exp(np.minimum(m, 60.0, out=m), out=m)
+        row, col = m.sum(axis=1), m.sum(axis=0)
+        return row, col, max(np.abs(row - r).max(), np.abs(col - c).max())
 
     if start is None:
-        u, v = np.zeros(k), np.zeros(b)
+        v = np.zeros(b)
         for _ in range(5):  # enter the region where exp() is bounded
-            u, v = sweep(u, v)
+            u, v = sweep(v)
     else:
         u = start - start.mean()
         v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
 
-    r = np.full(k, 1.0 / k)
-    c = np.full(b, 1.0 / b)
-    np.exp(log_m(u, v), out=m)
-    row, col = m.sum(axis=1), m.sum(axis=0)
+    row, col, residual = kernel(u, v)
     steps = backtracks = fallback_sweeps = inexact_steps = 0
-    while True:
-        residual = max(np.abs(row - r).max(), np.abs(col - c).max())
-        if residual < tol or steps == max_iterations:
-            return CodeMatrix(m, u, steps, bool(residual < tol), backtracks,
-                              fallback_sweeps, inexact_steps,
-                              float(residual))
+    while not residual < tol and steps < max_iterations:
         steps += 1
         du, dv, exact = _newton_step(m, row, col, row - r, (col - c)[:-1],
                                      work)
@@ -202,23 +200,20 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
         t = 1.0
         for _ in range(40 if finite else 0):  # backtrack on the residual
             ut, vt = u + t * du, v + t * dv
-            np.exp(np.minimum(log_m(ut, vt), 60.0, out=m), out=m)
-            rowt, colt = m.sum(axis=1), m.sum(axis=0)
-            trial = max(np.abs(rowt - r).max(), np.abs(colt - c).max())
+            rowt, colt, trial = kernel(ut, vt)
             if np.isfinite(trial) and trial < residual:
-                # an accepted trial never hit the clamp (its mass would
-                # exceed e^60), so m now holds exactly the next iterate's
-                # kernel; a rejected one is overwritten by the next trial
-                # or by the fallback sweep
-                u, v, row, col = ut, vt, rowt, colt
+                # m holds the next iterate's kernel; a rejected trial is
+                # overwritten by the next trial or by the fallback sweep
+                u, v, row, col, residual = ut, vt, rowt, colt, trial
                 break
             backtracks += 1
             t *= 0.5
         else:
             fallback_sweeps += 1
-            u, v = sweep(u, v)
-            np.exp(log_m(u, v), out=m)
-            row, col = m.sum(axis=1), m.sum(axis=0)
+            u, v = sweep(v)
+            row, col, residual = kernel(u, v)
+    return CodeMatrix(m, u, steps, bool(residual < tol), backtracks,
+                      fallback_sweeps, inexact_steps, float(residual))
 
 
 def _newton_step(m, row, col, g_u, g_v, work):

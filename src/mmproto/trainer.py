@@ -121,7 +121,8 @@ def config_from_text(text: str) -> TrainConfig:
 
 
 def config_entries(text: str) -> dict:
-    """The key=value lines of a config text, as strings by key."""
+    """The key=value lines of a config text, as strings by key; each key
+    may appear once."""
     kv = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -129,8 +130,10 @@ def config_entries(text: str) -> dict:
             continue
         if "=" not in line:
             raise UsageError(f"config line {lineno} is not key=value: {line!r}")
-        key, value = line.split("=", 1)
-        kv[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in kv:
+            raise UsageError(f"config line {lineno} repeats key {key}")
+        kv[key] = value
     return kv
 
 

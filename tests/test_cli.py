@@ -411,6 +411,9 @@ class TestExitCodes:
         ({}, "pretrain --data {tmp}/one.mmp --out {tmp}/x.ckpt",
          EXIT_USAGE, "usage error: a corpus of 1 sample leaves only a "
                      "trailing batch of 1, which training drops"),
+        ({"train.cfg": "epochs=1\nepochs=3\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE, "usage error: config line 2 repeats key epochs"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,

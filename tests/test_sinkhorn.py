@@ -87,9 +87,21 @@ class TestComputeCodes:
                               converged_config(EPS))
         np.testing.assert_allclose(codes.q, 0.25, atol=1e-6)
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericalError):
-            compute_codes([[np.nan, 0.0]], SinkhornConfig())
+    @pytest.mark.parametrize("config", [SinkhornConfig(),
+                                        converged_config(EPS)],
+                             ids=["sweeps", "converged"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, config, bad):
+        with pytest.raises(NumericalError,
+                           match="^scores contain NaN or Inf$"):
+            compute_codes([[bad, 0.0]], config)
+
+    def test_nonfinite_scores_named_before_start(self):
+        """Non-finite scores are named before a misshapen `start` is."""
+        with pytest.raises(NumericalError,
+                           match="^scores contain NaN or Inf$"):
+            compute_codes([[np.nan, 0.0], [0.0, 0.0]], converged_config(EPS),
+                          start=np.zeros(3))
 
     @pytest.mark.filterwarnings("error")
     def test_sweep_underflow_named(self):
@@ -355,6 +367,8 @@ class TestDiagnostics:
         assert codes.fallback_sweeps == codes.newton_steps
         assert codes.backtracks == codes.inexact_steps == 0
         assert max(codes.marginal_deviation()) < 1e-8
+        assert codes.residual == pytest.approx(max(codes.marginal_deviation()),
+                                               rel=1e-6)
 
     def test_stopped_short_conjugate_gradients_counted(self, monkeypatch):
         """Capped at one iteration, each conjugate-gradient solve stops short
@@ -381,6 +395,8 @@ class TestDiagnostics:
         assert codes.fallback_sweeps == codes.newton_steps
         assert codes.backtracks == 40 * codes.newton_steps
         assert codes.inexact_steps == 0
+        assert codes.residual == pytest.approx(max(codes.marginal_deviation()),
+                                               rel=1e-6)
 
     def test_non_finite_directions_take_the_sweep(self, monkeypatch):
         """A Newton direction that is not finite is a failed step: the
@@ -394,6 +410,8 @@ class TestDiagnostics:
         assert codes.converged and codes.newton_steps > 0
         assert codes.fallback_sweeps == codes.newton_steps
         assert codes.backtracks == 0
+        assert codes.residual == pytest.approx(max(codes.marginal_deviation()),
+                                               rel=1e-6)
 
 
 class TestEntropy:

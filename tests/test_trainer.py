@@ -98,6 +98,11 @@ class TestConfig:
                                              "bath_size, loss.temp$"):
             config_from_text("bath_size=64\nloss.temp=1\nepochs=3\n")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(UsageError,
+                           match="^config line 3 repeats key epochs$"):
+            config_from_text("epochs=1\n# again\n epochs = 3\n")
+
     @pytest.mark.parametrize("line", ["epochs=3.5", "base_lr=fast",
                                       "encoder.hidden_dims=8,x",
                                       "encoder.d2=", "loss.sinkhorn.epsilon=-"])
@@ -309,6 +314,20 @@ class TestCheckpointFile:
                            match=f"^tensor count {count - 1} at offset "
                                  f"{count_at} is neither {count - 2} nor "
                                  f"{count}$"):
+            load_checkpoint(path)
+
+    def test_repeated_config_key_rejected(self, tmp_path):
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        blob = path.read_bytes()
+        n = int.from_bytes(blob[8:12], "little")
+        text = blob[12:12 + n] + b"epochs=3\n"
+        path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text
+                         + blob[12 + n:])
+        last = len(text.splitlines())
+        with pytest.raises(FormatError,
+                           match=f"^bad config text at offset 12: config line "
+                                 f"{last} repeats key epochs$"):
             load_checkpoint(path)
 
     def test_truncated_anywhere(self, tmp_path):
