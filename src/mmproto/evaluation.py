@@ -207,8 +207,8 @@ def normalized_mutual_information(a: np.ndarray, b: np.ndarray) -> float:
     ha = float(-(pa * np.log(pa)).sum())  # every value occurs: pa > 0
     hb = float(-(pb * np.log(pb)).sum())
     denom = 0.5 * (ha + hb)
-    if denom == 0.0:
-        return 1.0 if mi == 0.0 and joint.shape == (1, 1) else 0.0
+    if denom == 0.0:  # both labelings constant: the same partition
+        return 1.0
     return float(max(0.0, min(1.0, mi / denom)))
 
 

@@ -111,7 +111,8 @@ def affine(x, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 def log_softmax_rows(s: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """log softmax(s / temperature) of each row of an array, computed
     shifted by the row maximum so that no exponential overflows; a quotient
-    that is not finite is a `NumericalError`."""
+    that is not finite is a `NumericalError`, and an entry whose shift
+    overflows comes out -inf."""
     if temperature <= 0:
         raise UsageError(f"temperature must be > 0, got {temperature}")
     with np.errstate(over="ignore"):
@@ -119,7 +120,8 @@ def log_softmax_rows(s: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if not np.isfinite(s).all():
         raise NumericalError(
             f"scores / temperature {temperature} hold NaN or Inf")
-    s -= s.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s -= s.max(axis=1, keepdims=True)
     s -= np.log(np.exp(s).sum(axis=1, keepdims=True))
     return s
 
@@ -130,11 +132,13 @@ def cross_entropy_sum(scores: np.ndarray, targets: np.ndarray,
     its gradient in `scores`, (softmax(s / T) * rowsum(targets) - targets)
     / T, which stays exact for target rows that do not sum to 1."""
     logp = log_softmax_rows(scores, temperature)
-    grad = np.exp(logp)
-    grad *= targets.sum(axis=1, keepdims=True)
-    grad -= targets
-    grad /= temperature
-    return -(targets * logp).sum(), grad
+    # an extreme temperature leaves a non-finite value the caller names
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = np.exp(logp)
+        grad *= targets.sum(axis=1, keepdims=True)
+        grad -= targets
+        grad /= temperature
+        return -(targets * logp).sum(), grad
 
 
 def cross_entropy(scores: Tensor, targets: np.ndarray,

@@ -97,11 +97,11 @@ def compute_codes(scores, config: SinkhornConfig,
     tolerance it solves for the fixed point directly: plain sweeps crawl
     for sharp kernels (small epsilon), so the converged path switches to a
     damped Newton iteration on the log-domain scaling potentials, which
-    reaches the same fixed point in a handful of steps. `start`, the
-    potentials `u` of an earlier converged solve over the same K
-    prototypes, replaces its cold entry sweeps (the fixed-sweep mode
-    ignores it). A single row or column leaves one feasible Q: every entry
-    1/(K B).
+    reaches the same fixed point in a handful of steps. It starts from
+    `start`, the potentials `u` of an earlier converged solve over the same
+    K prototypes, or from zero potentials when `start` is None (the
+    fixed-sweep mode ignores it). A single row or column leaves one
+    feasible Q: every entry 1/(K B).
     """
     scores = as_matrix(scores)
     with np.errstate(over="ignore"):
@@ -123,9 +123,9 @@ def compute_codes(scores, config: SinkhornConfig,
         with np.errstate(all="ignore"):  # it rejects non-finite steps
             return _converged_solve(s, tol, config.n_iterations, start)
 
-    q = np.exp(s - s.max())  # global max subtraction: no overflow
-    q /= q.sum()
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a shift that overflows is -inf
+        q = np.exp(s - s.max())  # global max subtraction: exp() <= 1
+        q /= q.sum()
         for _ in range(config.n_iterations):
             q *= (1.0 / k) / q.sum(axis=1, keepdims=True)
             q *= (1.0 / b) / q.sum(axis=0, keepdims=True)
@@ -147,10 +147,9 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
 def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
                      start: np.ndarray | None) -> CodeMatrix:
     """Fixed point of Diag(lambda) exp(log_kernel) Diag(mu) with uniform
-    marginals, via Newton steps on the potentials. A cold solve enters with
-    log-domain sweeps from v = 0; a warm one centres `start` as u and
-    fits v to it with one column half-sweep (Thornton & Cuturi,
-    arXiv:2206.07630).
+    marginals, via Newton steps on the potentials. The solve centres
+    `start` (zero potentials when None) as u and fits v to it with one
+    column half-sweep (Thornton & Cuturi, arXiv:2206.07630).
 
     Besides `log_kernel` the solve holds two K x B arrays, allocated once:
     `m`, the current kernel (and each line-search trial, which nothing
@@ -180,13 +179,8 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
         row, col = m.sum(axis=1), m.sum(axis=0)
         return row, col, max(np.abs(row - r).max(), np.abs(col - c).max())
 
-    if start is None:
-        v = np.zeros(b)
-        for _ in range(5):  # enter the region where exp() is bounded
-            u, v = sweep(v)
-    else:
-        u = start - start.mean()
-        v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
+    u = np.zeros(k) if start is None else start - start.mean()
+    v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
 
     row, col, residual = kernel(u, v)
     steps = backtracks = fallback_sweeps = inexact_steps = 0

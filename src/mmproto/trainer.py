@@ -5,12 +5,12 @@ loss (with the feature queue's rows once the queue is switched on), push the
 batch into the queue, backprop through the tape, update with momentum SGD,
 and pull the prototypes back onto the unit sphere. Prototype gradients are
 zeroed for an initial freeze window so the codes stabilize before the
-cluster centers move. Once the queue feeds the codes, each converged code
-solve starts from the prototype potentials of the previous step's solve for
-its modality: consecutive problems then share all but one batch of their
-columns. The checkpoint is the run state: `train` advances a copy of it in
-place, so the parameters, momentum buffers, feature queue and potentials
-that a bit-exact resume needs are the ones the file holds.
+cluster centers move. Each converged code solve starts from the latest
+prototype potentials of its modality, zeros until the run's first solve:
+once the queue feeds the codes, consecutive problems share all but one
+batch of their columns. The checkpoint is the run state: `train` advances a
+copy of it in place, so the parameters, momentum buffers, feature queue and
+potentials that a bit-exact resume needs are the ones the file holds.
 """
 from __future__ import annotations
 
@@ -29,9 +29,7 @@ from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
-CHECKPOINT_VERSION = 4
-#: the per-modality prototype potentials, written only when a run holds them
-POTENTIALS = ("potentials.m1", "potentials.m2")
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,7 @@ class Checkpoint:
     momentum_buffers: dict  # name -> ndarray
     queue: FeatureQueue
     iteration: int
-    potentials: tuple[np.ndarray, np.ndarray] | None  # None: next start cold
+    potentials: tuple[np.ndarray, np.ndarray]  # per modality; zeros: none yet
     n_samples: int = 0  # of the corpus the run trains on; 0: not yet trained
 
 
@@ -254,17 +252,13 @@ def train(corpus: PairedCorpus, config: TrainConfig,
         rows = ((queue.rows(0), queue.rows(1))
                 if iteration >= queue_start and queue.fill else None)
         try:
-            # warm-start only problems that share columns with the
-            # previous one: a batch-only solve converges cold in its
-            # entry sweeps while the prototypes are frozen at random
-            loss_t, solved = swapped_loss(
-                z1, z2, params["prototypes"], rows, config.loss,
-                start=None if rows is None else ckpt.potentials)
+            loss_t, solved = swapped_loss(z1, z2, params["prototypes"], rows,
+                                          config.loss, start=ckpt.potentials)
         except NumericalError as exc:
             raise NumericalAbort(iteration, batch.sample_indices,
                                  str(exc)) from None
         queue.push(z1.data, z2.data)
-        if rows is not None:
+        if solved is not None:  # None: fixed sweeps or a closed form
             ckpt.potentials = solved
         loss_val = float(loss_t.data[0, 0])
         if not np.isfinite(loss_val):
@@ -286,7 +280,7 @@ def train(corpus: PairedCorpus, config: TrainConfig,
 
         code_ent = _code_usage_entropy(z1.data, z2.data,
                                        params["prototypes"].data,
-                                       config.loss)
+                                       config.loss, ckpt.potentials)
         record = MetricsRecord(iteration, epoch, loss_val, lr,
                                code_ent, queue.fill)
         metrics.append(record)
@@ -298,11 +292,15 @@ def train(corpus: PairedCorpus, config: TrainConfig,
 
 
 def _code_usage_entropy(z1: np.ndarray, z2: np.ndarray,
-                        prototypes: np.ndarray, loss_cfg: LossConfig) -> float:
-    """Entropy of the batch-mean code distribution over prototypes."""
+                        prototypes: np.ndarray, loss_cfg: LossConfig,
+                        start: tuple[np.ndarray, np.ndarray]) -> float:
+    """Entropy of the batch-mean code distribution over prototypes, each
+    modality's solve started from its potentials in `start`."""
     from .objective import compute_batch_codes
-    q1, _ = compute_batch_codes(z1, prototypes, None, loss_cfg.sinkhorn)
-    q2, _ = compute_batch_codes(z2, prototypes, None, loss_cfg.sinkhorn)
+    q1, _ = compute_batch_codes(z1, prototypes, None, loss_cfg.sinkhorn,
+                                start[0])
+    q2, _ = compute_batch_codes(z2, prototypes, None, loss_cfg.sinkhorn,
+                                start[1])
     mean = np.concatenate([q1, q2]).mean(axis=0)
     nz = mean[mean > 0]
     return float(-(nz * np.log(nz)).sum())
@@ -321,7 +319,7 @@ def random_init_checkpoint(config: TrainConfig) -> Checkpoint:
     return Checkpoint(
         config, params, {name: np.zeros_like(p) for name, p in params.items()},
         FeatureQueue(config.loss.queue_length, config.encoder.embed_dim),
-        iteration=0, potentials=None)
+        iteration=0, potentials=tuple(np.zeros((2, config.k_prototypes))))
 
 
 # ---- checkpoint serialization -------------------------------------------
@@ -340,8 +338,7 @@ def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     tensors += [(f"mom.{n}", ckpt.momentum_buffers[n])
                 for n in sorted(ckpt.momentum_buffers)]
     tensors += zip(("queue.m1", "queue.m2"), ckpt.queue.buffers)
-    if ckpt.potentials is not None:
-        tensors += zip(POTENTIALS, ckpt.potentials)
+    tensors += zip(("potentials.m1", "potentials.m2"), ckpt.potentials)
     state = np.array([float(ckpt.iteration), float(ckpt.queue.fill),
                       float(ckpt.n_samples)])
     return tensors + [("state", state)]
@@ -364,32 +361,29 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed byte is a `FormatError` naming its
     offset and tensor, or the tensor count. The records must be the ones
     that `save_checkpoint` writes for the model that the embedded config
-    builds, in its order, and every value must be finite. The tensor count
-    says whether the two potentials are present."""
+    builds, in its order, and every value must be finite."""
     reader = Reader(path, "checkpoint", CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     cfg_text = reader.bytes(reader.u32("config length"), "config text")
     try:
         config = config_from_text(cfg_text.decode("utf-8"))
         # a config can describe more data than any file holds: look for 8
-        # bytes per element of the parameters, momentum, queues and state
+        # bytes per element of the parameters, momentum, queues, potentials
+        # and state
         d = config.encoder.embed_dim
         n_params = config.k_prototypes * d + sum(
             (fan_in + 1) * fan_out
             for _, fan_in, fan_out in layers(config.encoder))
         reader.expect(8 * (2 * n_params + 2 * config.loss.queue_length * d
-                           + 3), "tensor data")
+                           + 2 * config.k_prototypes + 3), "tensor data")
         ckpt = random_init_checkpoint(config)
     except (UnicodeDecodeError, UsageError) as exc:
         raise FormatError(f"bad config text at offset 12: {exc}") from None
-    count, base = reader.u32("tensor count"), len(_tensors(ckpt))
-    if count not in (base, base + 2):
-        raise FormatError(f"tensor count {count} at offset {reader.offset - 4}"
-                          f" is neither {base} nor {base + 2}")
-    if count > base:
-        ckpt.potentials = tuple(np.zeros(ckpt.config.k_prototypes)
-                                for _ in POTENTIALS)
-    # each record is read into the array that save_checkpoint writes it from
     tensors = _tensors(ckpt)
+    count = reader.u32("tensor count")
+    if count != len(tensors):
+        raise FormatError(f"tensor count {count} at offset {reader.offset - 4}"
+                          f" is not {len(tensors)}")
+    # each record is read into the array that save_checkpoint writes it from
     for name, slot in tensors:
         at = reader.offset
         got = reader.bytes(reader.u32(f"name length of {name}"),

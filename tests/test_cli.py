@@ -386,11 +386,11 @@ class TestExitCodes:
         ({"scores.csv": "1,2\n3,4\n"},
          "codes --scores {tmp}/scores.csv --converged --iters 0",
          EXIT_USAGE, "usage error: n_iterations must be >= 1, got 0"),
-        ({"big.ckpt": "MMCK\x04\x00\x00\x00\x22\x00\x00\x00"
+        ({"big.ckpt": "MMCK\x05\x00\x00\x00\x22\x00\x00\x00"
                       "encoder.hidden_dims=1000000000000\n"},
          "probe --ckpt {tmp}/big.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: truncated checkpoint: tensor data needs "
-                  "16000000003120000000559128 bytes at offset 46, file is "
+                  "16000000003120000000559384 bytes at offset 46, file is "
                   "46 bytes"),
         *[({}, f"pretrain --data {{tmp}}/short.mmp --out {{tmp}}/x.ckpt "
                f"--resume {ckpt}",
@@ -414,6 +414,16 @@ class TestExitCodes:
         ({"train.cfg": "epochs=1\nepochs=3\n"},
          "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
          EXIT_USAGE, "usage error: config line 2 repeats key epochs"),
+        ({"scores.csv": "1,-1\n1,-1\n"},
+         "codes --scores {tmp}/scores.csv --epsilon 1e-308",
+         EXIT_NUMERIC, "numerical error: exp(scores / epsilon) underflows at "
+                       "epsilon 1e-308; raise epsilon"),
+        *[({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 1 "
+               "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8 "
+               f"--temperature {temperature}",
+           EXIT_NUMERIC, "numerical error: non-finite loss inf at "
+                         "iteration 0, batch indices ")
+          for temperature in ("1e-308", "6e-309")],
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,

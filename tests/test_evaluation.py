@@ -225,6 +225,10 @@ class TestNmi:
         b = np.array([0, 1] * 5)
         assert normalized_mutual_information(a, b) == 0.0
 
+    def test_two_constant_labelings_agree(self):
+        a, b = np.zeros(7, dtype=int), np.full(7, 3)
+        assert normalized_mutual_information(a, b) == 1.0
+
     def test_label_permutation_invariant(self):
         truth = np.array([0, 0, 1, 1, 2, 2, 0, 1])
         pred = np.array([2, 2, 0, 0, 1, 1, 2, 0])  # same partition, renamed

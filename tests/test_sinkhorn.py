@@ -20,8 +20,8 @@ def random_scores(rng, k, b):
 
 def clustered_scores(rng, k, b, dim=8):
     """Cosine scores of unit prototypes and embeddings drawn around four
-    shared centres. Their converged solves take Newton steps; at these
-    orders uniform random scores converge in the entry sweeps."""
+    shared centres, whose converged solves take more Newton steps than
+    uniform random scores of the same order."""
     centres = rng.standard_normal((4, dim))
 
     def around(n):
@@ -112,6 +112,12 @@ class TestComputeCodes:
         codes = compute_codes([[1.0, -1.0], [1.0, -1.0]],
                               converged_config(0.001))
         np.testing.assert_allclose(codes.q, 0.25, atol=1e-9)
+
+    def test_scores_spanning_the_float_range(self):
+        """The sweeps' global shift overflows to -inf, whose kernel is 0."""
+        codes = compute_codes([[1e308, -1e308], [-1e308, 1e308]],
+                              SinkhornConfig(epsilon=1.0))
+        np.testing.assert_array_equal(codes.q, [[0.5, 0.0], [0.0, 0.5]])
 
     @pytest.mark.parametrize("config", [SinkhornConfig(epsilon=1e-310),
                                         converged_config(1e-310)])
@@ -285,6 +291,15 @@ class TestNewtonStep:
         expected = codes.newton_steps if order < CG_MIN_ORDER else 0
         assert factorized == [order] * expected
 
+    def test_conjugate_gradients_stop_on_non_positive_curvature(self):
+        """An indefinite system: the first direction has curvature -1, so
+        the solve returns its iterate, still x = 0, short of the tolerance."""
+        x, exact = sinkhorn._conjugate_gradients(
+            np.zeros((2, 1)), np.array([1.0, -1.0]), np.array([1.0]),
+            np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        assert not exact
+        np.testing.assert_array_equal(x, [0.0, 0.0])
+
     def test_conjugate_gradient_solves_repeat_byte_for_byte(self):
         scores = clustered_scores(np.random.default_rng(8), CG_MIN_ORDER + 88,
                                   CG_MIN_ORDER + 1)
@@ -310,6 +325,16 @@ class TestDiagnostics:
         assert row < 1e-8 and col < 1e-8
         assert 0 < warm.newton_steps < cold.newton_steps
         np.testing.assert_allclose(warm.q, cold.q, atol=1e-8)
+
+    def test_cold_solve_is_a_zero_start(self):
+        scores = clustered_scores(np.random.default_rng(7), 16, 288)
+        cold = compute_codes(scores, converged_config(EPS))
+        zero = compute_codes(scores, converged_config(EPS), start=np.zeros(16))
+        assert cold.converged and cold.newton_steps > 0
+        assert cold.q.tobytes() == zero.q.tobytes()
+        assert cold.u.tobytes() == zero.u.tobytes()
+        assert ((cold.newton_steps, cold.backtracks, cold.fallback_sweeps)
+                == (zero.newton_steps, zero.backtracks, zero.fallback_sweeps))
 
     def test_iteration_cap_reported(self):
         scores = random_scores(np.random.default_rng(4), 6, 9)

@@ -173,6 +173,19 @@ class TestTrain:
         assert ([m.queue_fill for m in metrics]
                 == [min(i * 8, capacity) for i in range(1, steps + 1)])
 
+    def test_potentials_start_at_zero(self):
+        """Fresh checkpoints and fixed-sweep runs carry zero potentials; a
+        converged run holds its latest solves' from its first step on."""
+        cfg = tiny_config()
+        swept, _ = train(tiny_corpus(), cfg)
+        for ckpt in (random_init_checkpoint(cfg), swept):
+            for u in ckpt.potentials:
+                np.testing.assert_array_equal(u, np.zeros(cfg.k_prototypes))
+        converged = tiny_config(loss=dataclasses.replace(
+            cfg.loss, sinkhorn=converged_config(0.05)))
+        ckpt, _ = train(tiny_corpus(), converged, stop_after=2)  # epoch 0
+        assert all(np.abs(u).max() > 0 for u in ckpt.potentials)
+
     def test_prototypes_frozen_window(self):
         corpus = tiny_corpus()
         cfg = tiny_config(epochs=1, prototype_freeze_iterations=100)
@@ -248,9 +261,8 @@ class TestCheckpointFile:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_resume_from_file(self, tmp_path):
-        """Also in converged mode, stopped before the queue feeds the codes
-        (no potentials yet: the first queued solve starts cold either way)
-        and after (the potentials go through the file)."""
+        """Also in converged mode, stopped before and after the queue feeds
+        the codes: the potentials go through the file."""
         corpus = tiny_corpus()
         converged = tiny_config(loss=dataclasses.replace(
             tiny_config().loss, sinkhorn=converged_config(0.05)))
@@ -258,7 +270,6 @@ class TestCheckpointFile:
                           (converged, 9)]:
             full, _ = train(corpus, cfg)
             mid, _ = train(corpus, cfg, stop_after=stop)
-            assert (mid.potentials is None) == (stop < 6)
             path = tmp_path / "mid.ckpt"
             save_checkpoint(mid, path)
             resumed, _ = train(corpus, cfg, resume_from=load_checkpoint(path))
@@ -291,11 +302,16 @@ class TestCheckpointFile:
                            match="^unsupported checkpoint version 1 at "):
             load_checkpoint(path)
 
-    def test_potentials_only_together(self, tmp_path):
+    def test_potentials_always_stored(self, tmp_path):
+        """An untrained checkpoint holds both records too; a record that is
+        not finite, or missing, is refused."""
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        blob = path.read_bytes()
+        assert b"potentials.m1" in blob and b"potentials.m2" in blob
         cfg = tiny_config(loss=dataclasses.replace(
             tiny_config().loss, sinkhorn=converged_config(0.05)))
         ckpt, _ = train(tiny_corpus(), cfg, stop_after=9)
-        path = tmp_path / "x.ckpt"
         save_checkpoint(ckpt, path)
         assert checkpoints_equal(load_checkpoint(path), ckpt)
         ckpt.potentials[1][0] = np.inf
@@ -312,8 +328,19 @@ class TestCheckpointFile:
                          + blob[count_at + 4:record] + blob[record + size:])
         with pytest.raises(FormatError,
                            match=f"^tensor count {count - 1} at offset "
-                                 f"{count_at} is neither {count - 2} nor "
-                                 f"{count}$"):
+                                 f"{count_at} is not {count}$"):
+            load_checkpoint(path)
+
+    def test_version_4_rejected(self, tmp_path):
+        """Version 4 files may lack the potentials; they are not read."""
+        path = tmp_path / "x.ckpt"
+        save_checkpoint(random_init_checkpoint(tiny_config()), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (4).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError,
+                           match="^unsupported checkpoint version 4 at "
+                                 "offset 4$"):
             load_checkpoint(path)
 
     def test_repeated_config_key_rejected(self, tmp_path):
@@ -357,9 +384,9 @@ class TestCheckpointFile:
          r"^tensor param.adapter1.b .* at offset \d+, found "
          r"b'param.Xdapter1.b' "),
         (lambda b, at: b[:at - 4] + b"\x00" + b[at - 3:],
-         r"^tensor count 0 at offset \d+ is neither 21 nor 23$"),
+         r"^tensor count 0 at offset \d+ is not 23$"),
         (lambda b, at: b[:at - 4] + (b[at - 4] - 1).to_bytes(4, "little")
-         + b[at:-41], r"^tensor count 20 at offset \d+ is neither 21 nor 23$"),
+         + b[at:-41], r"^tensor count 22 at offset \d+ is not 23$"),
     ], ids=["name-not-utf8", "rank-3", "shape-0", "name-changed", "count-0",
             "count-short"])
     def test_corrupt_tensor_headers(self, tmp_path, corrupt, message):
