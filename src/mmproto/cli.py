@@ -265,7 +265,11 @@ def main(argv=None) -> int:
                 "probe": _cmd_probe, "codes": _cmd_codes,
                 "gradcheck": _cmd_gradcheck}
     try:
-        return handlers[args.command](args)
+        with warnings.catch_warnings():  # restores showwarning on exit
+            # a warning the filters let through is one `warning:` line
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr)
+            return handlers[args.command](args)
     except Error as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import UsageError
 from .numerics import Tensor, affine, as_matrix, unit_rows
 
-PROTOTYPE_RESEED = 0x5eed  # auxiliary seed for re-randomizing dead prototypes
-
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -96,18 +94,8 @@ def embed(params: dict[str, Tensor], batch, modality: int) -> Tensor:
                       ).l2_normalize_rows()
 
 
-def renormalize_prototypes(prototypes: Tensor) -> list[int]:
-    """Rescale every prototype row to unit norm, in place.
-
-    All-zero rows are re-drawn from a fixed auxiliary seed; returns their
-    indices.
-    """
-    c = prototypes.data
-    rows, norms = unit_rows(c)
-    dead = np.flatnonzero(norms[:, 0] == 0.0)
-    if dead.size:
-        rng = np.random.default_rng(PROTOTYPE_RESEED)
-        rows[dead] = unit_rows(
-            rng.uniform(-1.0, 1.0, size=(dead.size, c.shape[1])))[0]
-    c[...] = rows
-    return dead.tolist()
+def renormalize_prototypes(prototypes: Tensor) -> None:
+    """Rescale every prototype row to unit norm, in place. An all-zero row
+    stays zero, as `unit_rows` leaves a zero embedding: its zero scores
+    still give it a gradient, so the next step moves it off zero."""
+    prototypes.data[...] = unit_rows(prototypes.data)[0]

@@ -171,11 +171,11 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
         return u, column_sweep(u)
 
     def kernel(u, v):
-        """exp(min(log_kernel + u + v, 60)) into m, with its row sums, column
-        sums and max-norm marginal residual. A kernel that hits the clamp has
-        a mass above e^60 and is never accepted; a swept one never nears it."""
+        """exp(log_kernel + u + v) into m, with its row sums, column sums and
+        max-norm marginal residual. A trial that overflows has an infinite
+        (or NaN) residual, which `trial < residual` rejects."""
         np.add(np.add(log_kernel, u[:, None], out=m), v[None, :], out=m)
-        np.exp(np.minimum(m, 60.0, out=m), out=m)
+        np.exp(m, out=m)
         row, col = m.sum(axis=1), m.sum(axis=0)
         return row, col, max(np.abs(row - r).max(), np.abs(col - c).max())
 
@@ -195,7 +195,7 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
         for _ in range(40 if finite else 0):  # backtrack on the residual
             ut, vt = u + t * du, v + t * dv
             rowt, colt, trial = kernel(ut, vt)
-            if np.isfinite(trial) and trial < residual:
+            if trial < residual:
                 # m holds the next iterate's kernel; a rejected trial is
                 # overwritten by the next trial or by the fallback sweep
                 u, v, row, col, residual = ut, vt, rowt, colt, trial

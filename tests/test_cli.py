@@ -457,6 +457,16 @@ class TestExitCodes:
         assert err.startswith(prefix), err
         assert not list(tmp_path.glob("x.*")), "a failed command wrote output"
 
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_warning_is_one_labelled_line(self, tmp_path, corpus_file,
+                                          capsys):
+        code, _, err = run(capsys, "pretrain", "--data", str(corpus_file),
+                           "--out", str(tmp_path / "x.ckpt"),
+                           "--batch-size", "1", "--epochs", "1")
+        assert code == EXIT_OK
+        assert err == ("warning: batch of 1 with no queue: codes are "
+                       "uninformative\n")
+
 
 class TestCorruptFiles:
     @pytest.fixture(scope="class")

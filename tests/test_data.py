@@ -125,6 +125,11 @@ class TestBatches:
                        for b in batches(corpus, size, epoch_seed=0)]
                 assert got == want and n_batches(n, size) == len(want)
 
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(UsageError,
+                           match="batch_size must be >= 1, got 0"):
+            batches(generate(small_spec()), 0, 0)
+
     def test_modalities_stay_aligned(self):
         corpus = generate(small_spec())
         for batch in batches(corpus, 16, epoch_seed=3):

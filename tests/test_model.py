@@ -122,15 +122,16 @@ class TestRenormalizePrototypes:
         # the squares of the last two rows overflow and underflow
         prototypes = Tensor(np.array([[3.0, 4.0], [0.5, 0.0],
                                       [1e200, 1e200], [1e-200, 1e-200]]))
-        assert renormalize_prototypes(prototypes) == []
+        renormalize_prototypes(prototypes)
         np.testing.assert_allclose(np.linalg.norm(prototypes.data, axis=1),
                                    1.0)
 
-    def test_dead_row_rerandomized(self):
-        prototypes = Tensor(np.array([[3.0, 4.0], [0.0, 0.0]]))
-        assert renormalize_prototypes(prototypes) == [1]
-        np.testing.assert_allclose(np.linalg.norm(prototypes.data, axis=1),
-                                   1.0)
+    def test_zero_row_stays_zero(self):
+        prototypes = Tensor(np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]]))
+        assert renormalize_prototypes(prototypes) is None
+        np.testing.assert_array_equal(prototypes.data[1], [0.0, 0.0])
+        np.testing.assert_allclose(
+            np.linalg.norm(prototypes.data[[0, 2]], axis=1), 1.0)
 
     def test_in_place(self):
         prototypes = Tensor(np.array([[2.0, 0.0]]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,9 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mmproto.errors import NumericalError, UsageError
-from mmproto.numerics import (Tensor, affine, backward, cross_entropy,
-                              finite_difference, log_softmax_rows,
-                              relative_gradient_error, unit_rows)
+from mmproto.numerics import (Tensor, affine, as_matrix, backward,
+                              cross_entropy, finite_difference,
+                              log_softmax_rows, relative_gradient_error,
+                              unit_rows)
 
 finite_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -39,6 +42,14 @@ def half_sum_of_squares(t: Tensor) -> Tensor:
 
 def l2_normalize_rows(m) -> np.ndarray:
     return Tensor(m).l2_normalize_rows().data
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_other_ranks_rejected(self, shape):
+        with pytest.raises(UsageError, match=re.escape(
+                f"expected a 2-D matrix, got shape {shape}")):
+            as_matrix(np.zeros(shape))
 
 
 class TestMatmul:

@@ -423,6 +423,31 @@ class TestDiagnostics:
         assert codes.residual == pytest.approx(max(codes.marginal_deviation()),
                                                rel=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trials_rejected(self, monkeypatch):
+        """A first Newton direction scaled by 1e4 makes its first trial
+        kernel overflow: the infinite residual is rejected like any other
+        trial that does not lower it, with no warning, and the halved
+        trials reach the unpatched solve's fixed point."""
+        newton_step, exponents = sinkhorn._newton_step, []
+
+        def scaled_step(m, row, col, g_u, g_v, work):
+            du, dv, exact = newton_step(m, row, col, g_u, g_v, work)
+            if not exponents:
+                du, dv = 1e4 * du, 1e4 * dv
+                exponents.append(
+                    (np.log(m) + du[:, None] + dv[None, :]).max())
+            return du, dv, exact
+
+        scores = random_scores(np.random.default_rng(4), 16, 288)
+        plain = compute_codes(scores, converged_config(EPS))
+        monkeypatch.setattr(sinkhorn, "_newton_step", scaled_step)
+        codes = compute_codes(scores, converged_config(EPS))
+        assert exponents[0] > np.log(np.finfo(float).max)  # exp() overflows
+        assert codes.converged and codes.backtracks >= 10
+        assert max(codes.marginal_deviation()) < 1e-8
+        np.testing.assert_allclose(codes.q, plain.q, atol=1e-8)
+
     def test_non_finite_directions_take_the_sweep(self, monkeypatch):
         """A Newton direction that is not finite is a failed step: the
         solve sweeps at once, with no line-search trial and no warning."""

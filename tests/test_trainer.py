@@ -205,6 +205,19 @@ class TestTrain:
         norms = np.linalg.norm(after.params["prototypes"], axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
+    def test_zero_prototype_row_recovers(self):
+        """A prototype row zeroed with its momentum past the freeze window
+        scores 0 against every embedding, which still gives it a gradient:
+        one step puts it back at unit norm."""
+        corpus = tiny_corpus()
+        cfg = tiny_config()  # prototypes frozen for 3 steps
+        mid, _ = train(corpus, cfg, stop_after=5)
+        mid.params["prototypes"][0] = 0.0
+        mid.momentum_buffers["prototypes"][0] = 0.0
+        after, _ = train(corpus, cfg, resume_from=mid, stop_after=6)
+        assert np.linalg.norm(after.params["prototypes"][0]) == (
+            pytest.approx(1.0, abs=1e-12))
+
     def test_resume_matches_uninterrupted(self):
         corpus = tiny_corpus()
         cfg = tiny_config()
