@@ -33,6 +33,7 @@ FORMAT_VERSION = 1
 MODALITY_NOISE_SCALE = 5.0
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the stream's Weyl-sequence increment
 
 
 def check_seed(name: str, seed: int) -> None:
@@ -45,30 +46,29 @@ def check_seed(name: str, seed: int) -> None:
 
 
 class SplitMix64:
-    """Minimal 64-bit splittable generator (splitmix64 reference constants)."""
+    """Minimal 64-bit splittable generator (splitmix64 reference constants)
+    whose draws are uint64 arrays, wrapping modulo 2**64."""
 
     def __init__(self, seed: int):
         self.state = seed & _MASK
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+    def words(self, n: int) -> np.ndarray:
+        """The next n outputs: mixes of state + k * gamma for k = 1..n."""
+        z = np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(
+            1, n + 1, dtype=np.uint64)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
     def split(self, stream: int) -> "SplitMix64":
-        child = SplitMix64(self.state)
-        child.state = (child.state ^ (stream * 0xD1342543DE82EF95)) & _MASK
-        child.next_u64()
+        child = SplitMix64(self.state ^ stream * 0xD1342543DE82EF95)
+        child.words(1)
         return child
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) from the top 53 bits of each draw."""
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = (self.next_u64() >> 11) * (1.0 / (1 << 53))
-        return out
+        return (self.words(n) >> np.uint64(11)) * (1.0 / (1 << 53))
 
     def gaussian(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller."""
@@ -85,8 +85,7 @@ class SplitMix64:
 
         Bias is below 2**-50 for high < 2**13, which covers cluster counts.
         """
-        return np.array([self.next_u64() % high for _ in range(n)],
-                        dtype=np.int64)
+        return (self.words(n) % np.uint64(high)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -165,12 +164,12 @@ def generate(spec: CorpusSpec) -> PairedCorpus:
 
 def permutation(n: int, seed: int) -> np.ndarray:
     """Seeded order of range(n): Fisher-Yates with splitmix draws."""
-    order = np.arange(n)
-    rng = SplitMix64(seed)
-    for i in range(n - 1, 0, -1):
-        j = rng.next_u64() % (i + 1)
+    order = list(range(n))
+    draws = SplitMix64(seed).words(max(n - 1, 0))
+    js = (draws % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), js):
         order[i], order[j] = order[j], order[i]
-    return order
+    return np.array(order, dtype=int)
 
 
 def batches(corpus: PairedCorpus, batch_size: int, epoch_seed: int):

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mmproto.data import (CorpusSpec, PairedCorpus, SplitMix64, batches,
                           generate, load_corpus, n_batches, permutation,
@@ -14,16 +18,60 @@ def small_spec(**kw):
     return CorpusSpec(**defaults)
 
 
+def reference_stream(seed):
+    """Scalar splitmix64 (Steele, Lea & Flood, OOPSLA 2014), one output a
+    step, on Python ints."""
+    mask, state = (1 << 64) - 1, seed
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
 class TestRandomStream:
     """Every corpus, batch order and reference number rests on this stream."""
 
     def test_splitmix64_reference_outputs(self):
         rng = SplitMix64(0)
-        assert [rng.next_u64() for _ in range(3)] == [
+        assert rng.words(3).tolist() == [
             0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+        assert SplitMix64(2**64 - 1).words(3).tolist() == [
+            0xe4d971771b652c20, 0xe99ff867dbf682c9, 0x382ff84cb27281e9]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 40),
+           m=st.integers(0, 40))
+    @example(seed=2**64 - 1, n=3, m=40)
+    def test_words_continue_the_scalar_stream(self, seed, n, m):
+        rng, ref = SplitMix64(seed), reference_stream(seed)
+        drawn = rng.words(n).tolist() + rng.words(m).tolist()
+        assert drawn == [next(ref) for _ in range(n + m)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 60))
+    @example(seed=2**64 - 1, n=60)
+    def test_permutation_is_scalar_fisher_yates(self, seed, n):
+        order, ref = list(range(n)), reference_stream(seed)
+        for i in range(n - 1, 0, -1):
+            j = next(ref) % (i + 1)
+            order[i], order[j] = order[j], order[i]
+        assert permutation(n, seed).tolist() == order
+
+    def test_draws_pinned(self):
+        assert SplitMix64(123).split(4).integers(6, 8).tolist() == [
+            7, 4, 0, 6, 0, 6]
+        assert SplitMix64(9).uniform(2).tolist() == [
+            0.6823627349789958, 0.7506948929582787]
 
     def test_permutation_pinned(self):
         assert permutation(10, 7).tolist() == [8, 1, 5, 9, 0, 4, 3, 2, 6, 7]
+        assert permutation(0, 0).tolist() == []
+        assert permutation(1, 5).tolist() == [0]
+        assert [permutation(2, s).tolist() for s in range(4)] == [
+            [0, 1], [0, 1], [1, 0], [0, 1]]
+        assert hashlib.sha256(permutation(2000, 99).tobytes()).hexdigest() == (
+            "db42cd1bc4f036dcdd915fb22ff35d0c2c3b0edcc2ed8392aa580c127a2c262b")
 
 
 class TestSpecValidation:

@@ -233,6 +233,17 @@ class TestNewtonStep:
         assert dv[-1] == 0.0 and exact
         assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("k,b", [(40, 6), (16, 16), (300, 32)])
+    def test_factorizes_the_smaller_schur_complement(self, k, b, factorized):
+        """Eliminating the larger diagonal block leaves a system of order
+        min(K, B-1): 5, 15 and 31 here. Always eliminating the column block
+        would factorize orders 40, 16 and 300, which at 300 x 32 more than
+        doubles the solve's peak memory."""
+        scores = random_scores(np.random.default_rng(k * 100 + b), k, b)
+        codes = compute_codes(scores, converged_config(EPS))
+        assert codes.converged and codes.newton_steps > 0
+        assert factorized == [min(k, b - 1)] * codes.newton_steps
+
     @pytest.mark.parametrize("k,b", [(CG_MIN_ORDER + 88, CG_MIN_ORDER + 1),
                                      (CG_MIN_ORDER, CG_MIN_ORDER + 88)])
     def test_zero_jacobi_entry_fails_the_step(self, k, b, factorized):
