@@ -40,8 +40,10 @@ class SinkhornConfig:
 #: by conjugate gradients, smaller ones by a dense factorization; one step
 #: costs about the same both ways at this order
 CG_MIN_ORDER = 512
-#: relative residual |S x - rhs| / |rhs| at which conjugate gradients stop
-CG_TOLERANCE = 1e-6
+#: relative residual |S x - rhs| / |rhs| at which conjugate gradients stop:
+#: a tenth of the loosest value that kept 1e-6's Newton steps and rejected
+#: trials on every problem of a measured grid; 1e-3 cost one problem a step
+CG_TOLERANCE = 1e-5
 #: conjugate-gradient iterations after which a solve stops short
 CG_MAX_ITERATIONS = 1000
 
@@ -101,7 +103,7 @@ def compute_codes(scores, config: SinkhornConfig,
     `start`, the potentials `u` of an earlier converged solve over the same
     K prototypes, or from zero potentials when `start` is None (the
     fixed-sweep mode ignores it). A single row or column leaves one
-    feasible Q: every entry 1/(K B).
+    feasible Q: every entry 1/(K B); an empty one is a `UsageError`.
     """
     scores = as_matrix(scores)
     with np.errstate(over="ignore"):
@@ -112,6 +114,8 @@ def compute_codes(scores, config: SinkhornConfig,
         raise NumericalError(f"scores / epsilon overflow at epsilon "
                              f"{config.epsilon}; raise epsilon")
     k, b = s.shape
+    if min(k, b) == 0:
+        raise UsageError(f"scores of shape {(k, b)} are empty")
     if start is not None and np.shape(start) != (k,):
         raise UsageError(f"start potentials {np.shape(start)} for {k} rows")
     if start is not None and not np.isfinite(start).all():
@@ -151,23 +155,22 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
     `start` (zero potentials when None) as u and fits v to it with one
     column half-sweep (Thornton & Cuturi, arXiv:2206.07630).
 
-    Besides `log_kernel` the solve holds two K x B arrays, allocated once:
+    Besides `log_kernel` the solve holds one K x B array, allocated once:
     `m`, the current kernel (and each line-search trial, which nothing
-    reads after a rejection), and `work`, the scratch of the sweeps and of
-    the Newton step. The Newton loop allocates no K x B array."""
+    reads after a rejection). The sweeps use it as their scratch, since
+    `kernel(u, v)` overwrites it right after each of them."""
     k, b = log_kernel.shape
     log_r, log_c = -np.log(k), -np.log(b)
     r, c = 1.0 / k, 1.0 / b
     m = np.empty_like(log_kernel)
-    work = np.empty_like(log_kernel)
 
     def column_sweep(u):
         return log_c - _logsumexp(
-            np.add(log_kernel, u[:, None], out=work), axis=0)
+            np.add(log_kernel, u[:, None], out=m), axis=0)
 
     def sweep(v):
         u = log_r - _logsumexp(
-            np.add(log_kernel, v[None, :], out=work), axis=1)
+            np.add(log_kernel, v[None, :], out=m), axis=1)
         return u, column_sweep(u)
 
     def kernel(u, v):
@@ -186,8 +189,7 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
     steps = backtracks = fallback_sweeps = inexact_steps = 0
     while not residual < tol and steps < max_iterations:
         steps += 1
-        du, dv, exact = _newton_step(m, row, col, row - r, (col - c)[:-1],
-                                     work)
+        du, dv, exact = _newton_step(m, row, col, row - r, (col - c)[:-1])
         inexact_steps += not exact
 
         finite = np.isfinite(du).all() and np.isfinite(dv).all()
@@ -210,7 +212,7 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
                       fallback_sweeps, inexact_steps, float(residual))
 
 
-def _newton_step(m, row, col, g_u, g_v, work):
+def _newton_step(m, row, col, g_u, g_v):
     """Newton step (du, dv) on the potentials for the system
     [[diag(row), M'], [M'^T, diag(col')]] (du, dv') = -(g_u, g_v), where
     M' and col' drop the last column, whose v is pinned (dv[-1] = 0) to
@@ -219,41 +221,42 @@ def _newton_step(m, row, col, g_u, g_v, work):
     Both diagonal blocks are diagonal, so the larger one is eliminated and
     only the min(K, B-1)-sized Schur complement is solved (Brauer, Clason,
     Lorenz & Wirth, arXiv:1710.06635): a diagonal minus a Gram product of
-    M' scaled by the eliminated block's inverse. `work` (K x B) is its
-    scratch and is overwritten. Returns (du, dv, exact) as `_schur_solve`.
+    M' scaled by the eliminated block's inverse. Returns (du, dv, exact) as
+    `_schur_solve`.
     """
     k, b = m.shape
-    mp, cp, wp = m[:, :-1], col[:-1], work[:, :-1]
+    mp, cp = m[:, :-1], col[:-1]
     if k <= b - 1:
-        du, dv, exact = _schur_solve(mp, row, cp, g_u, g_v, wp)
+        du, dv, exact = _schur_solve(mp, row, cp, g_u, g_v)
     else:
-        dv, du, exact = _schur_solve(mp.T, cp, row, g_v, g_u, wp.T)
+        dv, du, exact = _schur_solve(mp.T, cp, row, g_v, g_u)
     return du, np.append(dv, 0.0), exact
 
 
-def _schur_solve(a, d, e, g, h, w):
+def _schur_solve(a, d, e, g, h):
     """(x, y, exact) solving [[diag(d), a], [a^T, diag(e)]] (x, y) = -(g, h)
     by eliminating y: (diag(d) - a diag(1/e) a^T) x = a (h / e) - g.
 
     From `CG_MIN_ORDER` up, conjugate gradients solve it without forming the
-    Schur complement, preconditioned by its diagonal d - (a * a) / e (the
-    squares are written into `w`, the shape of `a`). Smaller complements are
-    factorized: the Gram product W W^T, W = a diag(e)^(-1/2) written into
-    `w`, is one buffer times its own transpose, which numpy hands to BLAS
-    syrk (one triangle, about half the work of a general product). A
-    singular complement is a failed step, with a NaN (x, y): one whose
-    Jacobi diagonal has an entry within the rounding bound len(e) eps d of
-    its own sum, or one the factorization rejects. `exact` is False when
-    conjugate gradients stopped short of `CG_TOLERANCE`."""
+    Schur complement, preconditioned by its diagonal d - (a * a) / e, which
+    one einsum pass forms with no temporary the shape of `a`. Smaller
+    complements are factorized: the Gram product W W^T of the scaled copy
+    W = a diag(e)^(-1/2), made per step, is one buffer times its own
+    transpose, which numpy hands to BLAS syrk (one triangle, about half the
+    work of a general product). A singular complement is a failed step,
+    with a NaN (x, y): one whose Jacobi diagonal has an entry within the
+    rounding bound len(e) eps d of its own sum, or one the factorization
+    rejects. `exact` is False when conjugate gradients stopped short of
+    `CG_TOLERANCE`."""
     rhs = a @ (h / e) - g
     if len(d) >= CG_MIN_ORDER:
         inv_e = 1.0 / e
-        jacobi = d - np.multiply(a, a, out=w) @ inv_e
+        jacobi = d - np.einsum("ij,ij,j->i", a, a, inv_e)
         x, exact = np.nan * rhs, True  # singular unless jacobi is positive
         if (jacobi > len(e) * np.finfo(float).eps * d).all():
             x, exact = _conjugate_gradients(a, d, inv_e, rhs, jacobi)
     else:
-        np.divide(a, np.sqrt(e), out=w)
+        w = a / np.sqrt(e)
         s = w @ w.T
         np.negative(s, out=s)
         s.flat[::len(d) + 1] += d

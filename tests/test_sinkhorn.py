@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from mmproto import sinkhorn
 from mmproto.errors import NumericalError, UsageError
 from mmproto.numerics import as_matrix
-from mmproto.sinkhorn import (CG_MIN_ORDER, CG_TOLERANCE, CodeMatrix,
-                              SinkhornConfig, compute_codes, converged_config)
+from mmproto.sinkhorn import (CG_MIN_ORDER, CodeMatrix, SinkhornConfig,
+                              compute_codes, converged_config)
 
 EPS = 0.05
 
@@ -135,6 +135,16 @@ class TestComputeCodes:
         codes = compute_codes(scores, config)
         assert (codes.q == 1.0 / (k * b)).all()
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("config", [SinkhornConfig(),
+                                        converged_config(EPS)],
+                             ids=["sweeps", "converged"])
+    def test_empty_scores_named(self, shape, config):
+        with pytest.raises(UsageError, match=rf"^scores of shape "
+                                             rf"\({shape[0]}, {shape[1]}\) "
+                                             rf"are empty$"):
+            compute_codes(np.zeros(shape), config)
+
     def test_large_scores_no_overflow(self):
         codes = compute_codes([[1e4, -1e4], [-1e4, 1e4]], SinkhornConfig())
         assert np.isfinite(codes.q).all()
@@ -214,22 +224,22 @@ def factorized(monkeypatch):
 class TestNewtonStep:
     # K < B, K > B, and both sides of the branch boundary K = B-1 | K = B;
     # the last two have Schur complements of order CG_MIN_ORDER, which
-    # conjugate gradients solve to a relative residual of CG_TOLERANCE
+    # conjugate gradients solve here to a relative residual of 1e-6
     @pytest.mark.parametrize("k,b", [(6, 40), (40, 6), (9, 9), (8, 9),
                                      (CG_MIN_ORDER, CG_MIN_ORDER + 88),
                                      (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1)])
     @pytest.mark.parametrize("epsilon", [1.0, EPS])
-    def test_matches_dense_system(self, k, b, epsilon):
+    def test_matches_dense_system(self, k, b, epsilon, monkeypatch):
+        monkeypatch.setattr(sinkhorn, "CG_TOLERANCE", 1e-6)
         rng = np.random.default_rng(k * 100 + b)
         m = np.exp(random_scores(rng, k, b) / epsilon)
         m /= m.sum()
         row, col = m.sum(axis=1), m.sum(axis=0)
         g_u, g_v = row - 1.0 / k, (col - 1.0 / b)[:-1]
-        du, dv, exact = sinkhorn._newton_step(m, row, col, g_u, g_v,
-                                              np.empty_like(m))
+        du, dv, exact = sinkhorn._newton_step(m, row, col, g_u, g_v)
         ref_u, ref_v = dense_newton_step(m, row, col, g_u, g_v)
         step, ref = np.concatenate([du, dv]), np.concatenate([ref_u, ref_v])
-        tol = CG_TOLERANCE if min(k, b - 1) >= CG_MIN_ORDER else 1e-10
+        tol = 1e-6 if min(k, b - 1) >= CG_MIN_ORDER else 1e-10
         assert dv[-1] == 0.0 and exact
         assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
 
@@ -256,8 +266,7 @@ class TestNewtonStep:
         m /= m.sum()
         row, col = m.sum(axis=1), m.sum(axis=0)
         du, dv, exact = sinkhorn._newton_step(
-            m, row, col, row - 1.0 / k, (col - 1.0 / b)[:-1],
-            np.empty_like(m))
+            m, row, col, row - 1.0 / k, (col - 1.0 / b)[:-1])
         assert factorized == [] and exact
         assert not (np.isfinite(du).all() and np.isfinite(dv).all())
 
@@ -265,9 +274,10 @@ class TestNewtonStep:
                                      (CG_MIN_ORDER + 88, CG_MIN_ORDER + 188)])
     def test_peak_memory_linear_in_kernel(self, k, b, monkeypatch):
         # a dense (K+B-1)^2 Newton system alone is 18x K*B*8 bytes at the
-        # first two shapes; log_kernel, m and work are 3x, so 4x leaves no
-        # room for a K x B temporary, at the third also not in the
-        # conjugate-gradient solve
+        # first two shapes. The conjugate-gradient solve of the third holds
+        # log_kernel and m only, 2x, so 2.5x leaves no room for another
+        # K x B array; a dense step adds one transient scaled copy of the
+        # kernel, so 4x leaves no room for a second
         steps = []
         newton_step = sinkhorn._newton_step
 
@@ -276,8 +286,8 @@ class TestNewtonStep:
             return newton_step(*args)
 
         monkeypatch.setattr(sinkhorn, "_newton_step", counted)
-        make = (clustered_scores if min(k, b - 1) >= CG_MIN_ORDER
-                else random_scores)
+        cg = min(k, b - 1) >= CG_MIN_ORDER
+        make = clustered_scores if cg else random_scores
         scores = make(np.random.default_rng(5), k, b)
         tracemalloc.start()
         try:
@@ -287,7 +297,9 @@ class TestNewtonStep:
             tracemalloc.stop()
         assert steps, "the Newton path was not exercised"
         assert max(codes.marginal_deviation()) < 1e-6
-        assert peak < 4 * k * b * 8, f"peak {peak / (k * b * 8):.2f} x K*B*8"
+        bound = 2.5 if cg else 4.0
+        assert peak < bound * k * b * 8, (
+            f"peak {peak / (k * b * 8):.2f} x K*B*8")
 
     @pytest.mark.parametrize("order", [CG_MIN_ORDER - 1, CG_MIN_ORDER])
     def test_both_sides_of_the_order_threshold(self, order, factorized):
@@ -301,6 +313,21 @@ class TestNewtonStep:
         assert max(codes.marginal_deviation()) < 1e-8
         expected = codes.newton_steps if order < CG_MIN_ORDER else 0
         assert factorized == [order] * expected
+
+    @pytest.mark.parametrize("k,b", [(CG_MIN_ORDER, CG_MIN_ORDER + 88),
+                                     (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1)])
+    def test_shipped_cg_tolerance_costs_no_newton_step(self, k, b,
+                                                       monkeypatch):
+        """Conjugate gradients stopped at CG_TOLERANCE take the Newton steps
+        and rejected trials that a solve to 1e-6 takes."""
+        scores = clustered_scores(np.random.default_rng(1), k, b)
+        shipped = compute_codes(scores, converged_config(EPS))
+        monkeypatch.setattr(sinkhorn, "CG_TOLERANCE", 1e-6)
+        tight = compute_codes(scores, converged_config(EPS))
+        assert shipped.converged and shipped.newton_steps > 0
+        assert ((shipped.newton_steps, shipped.backtracks)
+                == (tight.newton_steps, tight.backtracks))
+        assert max(shipped.marginal_deviation()) < 1e-8
 
     def test_conjugate_gradients_stop_on_non_positive_curvature(self):
         """An indefinite system: the first direction has curvature -1, so
@@ -421,7 +448,7 @@ class TestDiagnostics:
         """A zero Newton step never lowers the residual: each step rejects
         all 40 trials and falls back to a sweep, which converges at
         epsilon 1."""
-        def zero_step(m, row, col, g_u, g_v, work):
+        def zero_step(m, row, col, g_u, g_v):
             return np.zeros_like(row), np.zeros_like(col), True
 
         monkeypatch.setattr(sinkhorn, "_newton_step", zero_step)
@@ -442,8 +469,8 @@ class TestDiagnostics:
         trials reach the unpatched solve's fixed point."""
         newton_step, exponents = sinkhorn._newton_step, []
 
-        def scaled_step(m, row, col, g_u, g_v, work):
-            du, dv, exact = newton_step(m, row, col, g_u, g_v, work)
+        def scaled_step(m, row, col, g_u, g_v):
+            du, dv, exact = newton_step(m, row, col, g_u, g_v)
             if not exponents:
                 du, dv = 1e4 * du, 1e4 * dv
                 exponents.append(
@@ -462,7 +489,7 @@ class TestDiagnostics:
     def test_non_finite_directions_take_the_sweep(self, monkeypatch):
         """A Newton direction that is not finite is a failed step: the
         solve sweeps at once, with no line-search trial and no warning."""
-        def overflowed_step(m, row, col, g_u, g_v, work):
+        def overflowed_step(m, row, col, g_u, g_v):
             return np.full_like(row, np.nan), np.full_like(col, np.inf), True
 
         monkeypatch.setattr(sinkhorn, "_newton_step", overflowed_step)
