@@ -22,7 +22,7 @@ from .data import CorpusSpec, check_seed, generate, load_corpus, save_corpus
 from .errors import Error, FormatError, NumericalError, UsageError
 from .evaluation import (check_neighbors, cluster_agreement, knn_probe,
                          linear_probe)
-from .gradcheck import TOLERANCE, run_suite
+from .gradcheck import C, FD_STEP, TOLERANCE, run_suite
 from .model import EncoderConfig
 from .sinkhorn import SinkhornConfig, compute_codes, converged_config
 from .trainer import (TrainConfig, config_entries, config_from_dict,
@@ -247,10 +247,11 @@ def _cmd_gradcheck(args) -> int:
     ok = True
     for r in results:
         status = "pass" if r.passed else "FAIL"
-        print(f"{status}  {r.op:<20s} max_rel_err={r.max_relative_error:.3e}")
+        print(f"{status}  {r.op:<20s} of_bound={r.bound_ratio:.3e} "
+              f"at {r.worst}")
         ok = ok and r.passed
     print(f"gradcheck: {'all gradients within' if ok else 'exceeded'} "
-          f"tolerance {TOLERANCE}")
+          f"the bound {TOLERANCE}*|n| + {C:g}*eps*|f|/{FD_STEP}")
     return EXIT_OK if ok else EXIT_NUMERIC
 
 

@@ -13,9 +13,6 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 
-#: numeric gradient components at or below this magnitude are not compared
-GRADIENT_FLOOR = 1e-6
-
 
 def as_matrix(x) -> np.ndarray:
     m = np.ascontiguousarray(x, dtype=np.float64)
@@ -191,36 +188,3 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: p.grad if p.grad is not None else np.zeros_like(p.data)
             for name, p in params.items()}
 
-
-def finite_difference(fn, params: dict[str, np.ndarray],
-                      step: float = 1e-4) -> dict[str, np.ndarray]:
-    """Central finite differences of a scalar function of named arrays."""
-    grads = {}
-    work = {k: v.copy() for k, v in params.items()}
-    for name, value in work.items():
-        g = np.zeros_like(value)
-        flat = value.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = fn(work)
-            flat[i] = orig - step
-            down = fn(work)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * step)
-        grads[name] = g
-    return grads
-
-
-def relative_gradient_error(analytic: dict[str, np.ndarray],
-                            numeric: dict[str, np.ndarray]) -> float:
-    """Max relative error over components with |numeric| above the floor."""
-    worst = 0.0
-    for name in analytic:
-        a, n = analytic[name].reshape(-1), numeric[name].reshape(-1)
-        mask = np.abs(n) > GRADIENT_FLOOR
-        if mask.any():
-            rel = np.abs(a[mask] - n[mask]) / np.abs(n[mask])
-            worst = max(worst, float(rel.max()))
-    return worst

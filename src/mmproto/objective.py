@@ -33,6 +33,10 @@ class LossConfig:
                 f"temperature must be finite and > 0, got {self.temperature}")
         if self.queue_length < 0:
             raise UsageError("queue_length must be >= 0")
+        if self.queue_start_iteration < -1:
+            raise UsageError(f"queue_start_iteration must be >= -1 "
+                             f"(-1: one epoch), got "
+                             f"{self.queue_start_iteration}")
 
 
 class FeatureQueue:

@@ -54,6 +54,10 @@ class TrainConfig:
                 f"base_lr must be finite and >= 0, got {self.base_lr}")
         if not 0 <= self.momentum < 1:
             raise UsageError(f"momentum must be in [0,1), got {self.momentum}")
+        if self.prototype_freeze_iterations < -1:
+            raise UsageError(f"prototype_freeze_iterations must be >= -1 "
+                             f"(-1: one epoch), got "
+                             f"{self.prototype_freeze_iterations}")
         check_seed("seed", self.seed)
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from mmproto import gradcheck
 from mmproto.errors import UsageError
 from mmproto.model import (EncoderConfig, embed, init_params,
                            renormalize_prototypes)
-from mmproto.numerics import (Tensor, backward, cross_entropy,
-                              finite_difference, relative_gradient_error)
+from mmproto.numerics import Tensor, backward, cross_entropy
 
 CFG = EncoderConfig(input_dims=(6, 9), hidden_dims=(8,), embed_dim=5)
 
@@ -103,17 +103,10 @@ class TestEmbed:
         x = np.random.default_rng(2).standard_normal((3, 6))
         weights = np.random.default_rng(3).standard_normal((3, 5))
 
-        loss = cross_entropy(embed(params, x, 0), weights, 0.5)
-        analytic = backward(loss, params)
-
-        def scalar(values):
-            p = {name: Tensor(v) for name, v in values.items()}
-            loss = cross_entropy(embed(p, x, 0), weights, 0.5)
-            return float(loss.data[0, 0])
-
-        raw = {name: p.data for name, p in params.items()}
-        numeric = finite_difference(scalar, raw)
-        assert relative_gradient_error(analytic, numeric) < 1e-4
+        result = gradcheck.check(
+            "embed", lambda p: cross_entropy(embed(p, x, 0), weights, 0.5),
+            {name: p.data for name, p in params.items()})
+        assert result.passed, (result.bound_ratio, result.worst)
 
 
 class TestRenormalizePrototypes:

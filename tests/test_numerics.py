@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mmproto import gradcheck
 from mmproto.errors import NumericalError, UsageError
 from mmproto.numerics import (Tensor, affine, as_matrix, backward,
-                              cross_entropy, finite_difference,
-                              log_softmax_rows, relative_gradient_error,
-                              unit_rows)
+                              cross_entropy, log_softmax_rows, unit_rows)
 
 finite_matrices = arrays(
     np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
@@ -211,15 +210,8 @@ class TestFiniteDifferenceAgreement:
     """Every composite op used by the objective matches central differences."""
 
     def check(self, build, params):
-        tensors = {k: Tensor(v.copy()) for k, v in params.items()}
-        analytic = backward(build(tensors), tensors)
-
-        def scalar(raw):
-            return float(
-                build({k: Tensor(v) for k, v in raw.items()}).data[0, 0])
-
-        numeric = finite_difference(scalar, params)
-        assert relative_gradient_error(analytic, numeric) < 1e-4
+        result = gradcheck.check("op", build, params)
+        assert result.passed, (result.bound_ratio, result.worst)
 
     def test_matmul(self):
         rng = np.random.default_rng(0)
