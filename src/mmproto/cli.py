@@ -24,7 +24,7 @@ from .evaluation import (check_neighbors, cluster_agreement, knn_probe,
                          linear_probe)
 from .gradcheck import C, FD_STEP, TOLERANCE, run_suite
 from .model import EncoderConfig
-from .sinkhorn import SinkhornConfig, compute_codes, converged_config
+from .sinkhorn import SinkhornConfig, compute_codes
 from .trainer import (TrainConfig, config_entries, config_from_dict,
                       config_to_text, load_checkpoint, save_checkpoint, train)
 
@@ -50,6 +50,21 @@ CONFIG_FLAGS = {
     "--seed": ("seed", int, "training seed"),
 }
 
+#: gen-data flag -> (CorpusSpec field, argument type, default, help text)
+CORPUS_FLAGS = {
+    "--n": ("n_samples", int, 2000, "number of samples"),
+    "--clusters": ("n_latent_clusters", int, 8, "latent clusters"),
+    "--latent-dim": ("latent_dim", int, 16, "latent dimensionality"),
+    "--d1": ("d1", int, 32, "modality-1 dimensionality"),
+    "--d2": ("d2", int, 32, "modality-2 dimensionality"),
+    "--sigma": ("noise_sigma", float, 0.05, "gaussian noise level"),
+    "--seed": ("seed", int, 0, "generator seed"),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
 
 def _write_manifest(path, command: str, config: dict, paths: dict, seed):
     manifest = {"command": command, "config": config, "paths": paths,
@@ -67,20 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic paired corpus")
-    g.add_argument("--n", type=int, default=2000,
-                   help="number of samples (default: %(default)s)")
-    g.add_argument("--clusters", type=int, default=8,
-                   help="latent clusters (default: %(default)s)")
-    g.add_argument("--latent-dim", type=int, default=16,
-                   help="latent dimensionality (default: %(default)s)")
-    g.add_argument("--d1", type=int, default=32,
-                   help="modality-1 dimensionality (default: %(default)s)")
-    g.add_argument("--d2", type=int, default=32,
-                   help="modality-2 dimensionality (default: %(default)s)")
-    g.add_argument("--sigma", type=float, default=0.05,
-                   help="gaussian noise level (default: %(default)s)")
-    g.add_argument("--seed", type=int, default=0,
-                   help="generator seed (default: %(default)s)")
+    for flag, (_, kind, default, text) in CORPUS_FLAGS.items():
+        g.add_argument(flag, type=kind, default=default,
+                       help=f"{text} (default: %(default)s)")
     g.add_argument("--out", required=True, help="output corpus path")
 
     p = sub.add_parser("pretrain", help="train encoder and prototypes")
@@ -118,10 +122,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="CSV file, one score row per line")
     c.add_argument("--epsilon", type=float, default=0.05,
                    help="entropy regularization (default: %(default)s)")
-    c.add_argument("--iters", type=int, default=3,
-                   help="normalization sweeps (default: %(default)s)")
+    c.add_argument("--iters", type=int, help="normalization sweeps, 0 for "
+                   f"--converged (default: {SinkhornConfig.n_iterations})")
     c.add_argument("--converged", action="store_true",
-                   help="iterate to the fixed point instead of --iters")
+                   help="iterate to the fixed point: --iters 0")
 
     d = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     d.add_argument("--seed", type=int, default=0,
@@ -136,22 +140,19 @@ def _flags_to_config(args, base: TrainConfig) -> tuple[TrainConfig, dict]:
         base = config_from_dict(config_entries(
             Path(args.config).read_text(errors="replace")), base)
     overrides = {key: str(value) for flag, (key, _, _) in CONFIG_FLAGS.items()
-                 if (value := getattr(args, flag[2:].replace("-", "_")))
-                 is not None}
+                 if (value := getattr(args, _dest(flag))) is not None}
     return config_from_dict(overrides, base), overrides
 
 
 def _cmd_gen_data(args) -> int:
-    spec = CorpusSpec(n_samples=args.n, n_latent_clusters=args.clusters,
-                      latent_dim=args.latent_dim, d1=args.d1, d2=args.d2,
-                      noise_sigma=args.sigma, seed=args.seed)
-    corpus = generate(spec)
+    corpus = generate(CorpusSpec(**{
+        field: getattr(args, _dest(flag))
+        for flag, (field, *_) in CORPUS_FLAGS.items()}))
     save_corpus(corpus, args.out)
-    _write_manifest(
-        args.out + ".manifest.json", "gen-data",
-        {"n": args.n, "clusters": args.clusters,
-         "latent_dim": args.latent_dim, "d1": args.d1, "d2": args.d2,
-         "sigma": args.sigma}, {"out": args.out}, args.seed)
+    _write_manifest(args.out + ".manifest.json", "gen-data",
+                    {_dest(flag): getattr(args, _dest(flag))
+                     for flag in CORPUS_FLAGS if flag != "--seed"},
+                    {"out": args.out}, args.seed)
     print(f"wrote {args.out}: {corpus.n_samples} samples, "
           f"dims {args.d1}/{args.d2}")
     return EXIT_OK
@@ -220,6 +221,11 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_codes(args) -> int:
+    if args.converged and args.iters is not None:
+        raise UsageError("--converged is --iters 0; give one of the two")
+    if args.iters is None:
+        args.iters = 0 if args.converged else SinkhornConfig.n_iterations
+    config = SinkhornConfig(args.epsilon, args.iters)
     try:
         with warnings.catch_warnings():
             # an empty file is reported as a FormatError below
@@ -229,12 +235,8 @@ def _cmd_codes(args) -> int:
         raise FormatError(f"{args.scores}: {exc}") from None
     if scores.size == 0:
         raise FormatError(f"{args.scores}: no scores")
-    # --iters is checked in converged mode too, which does not read it
-    config = SinkhornConfig(epsilon=args.epsilon, n_iterations=args.iters)
-    if args.converged:
-        config = converged_config(args.epsilon)
     codes = compute_codes(scores, config)
-    if args.converged and not codes.converged:
+    if config.n_iterations == 0 and not codes.converged:
         raise NumericalError(f"codes did not converge: {codes.newton_steps} "
                              f"Newton steps left residual {codes.residual:.3g}")
     for row in codes.q:

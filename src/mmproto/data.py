@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, NumericalError, UsageError
-from .numerics import unit_rows
+from .numerics import check_allocation, unit_rows
 
 MAGIC = b"MMP1"
 FORMAT_VERSION = 1
@@ -54,6 +54,7 @@ class SplitMix64:
 
     def words(self, n: int) -> np.ndarray:
         """The next n outputs: mixes of state + k * gamma for k = 1..n."""
+        check_allocation((n,))
         z = np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(
             1, n + 1, dtype=np.uint64)
         self.state = (self.state + n * _GAMMA) & _MASK

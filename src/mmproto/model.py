@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .numerics import Tensor, affine, as_matrix, unit_rows
+from .numerics import Tensor, affine, as_matrix, check_allocation, unit_rows
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,14 @@ def init_params(config: EncoderConfig, k: int, seed: int) -> dict[str, Tensor]:
     rng = np.random.default_rng(seed)
     params = {}
     for name, fan_in, fan_out in layers(config):
+        check_allocation((fan_in, fan_out))
         bound = 1.0 / np.sqrt(fan_in)
         params[f"{name}.w"] = Tensor(
             rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         # zero biases keep initial embeddings spread on the sphere; a
         # uniform bias draw collapses them toward one direction
         params[f"{name}.b"] = Tensor(np.zeros((1, fan_out)))
+    check_allocation((k, config.embed_dim))
     bound = 1.0 / np.sqrt(config.embed_dim)
     params["prototypes"] = Tensor(unit_rows(
         rng.uniform(-bound, bound, size=(k, config.embed_dim)))[0])

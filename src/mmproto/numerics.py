@@ -9,6 +9,8 @@ parameters.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalError, UsageError
@@ -19,6 +21,17 @@ def as_matrix(x) -> np.ndarray:
     if m.ndim != 2:
         raise UsageError(f"expected a 2-D matrix, got shape {m.shape}")
     return m
+
+
+def check_allocation(shape: tuple[int, ...]) -> None:
+    """A float64 (or uint64) array of `shape` whose dimension or byte count
+    lies beyond numpy's index range, which numpy reports as a `ValueError`,
+    is a `MemoryError`: an allocation the machine cannot hold."""
+    limit = np.iinfo(np.intp).max
+    nbytes = 8 * math.prod(shape)
+    if max(shape, default=0) > limit or nbytes > limit:
+        raise MemoryError(f"Unable to allocate {nbytes} bytes for an array "
+                          f"with shape {shape}")
 
 
 class Tensor:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UsageError
-from .numerics import Tensor, cross_entropy_sum
+from .numerics import Tensor, check_allocation, cross_entropy_sum
 from .sinkhorn import SinkhornConfig, compute_codes
 
 
@@ -48,6 +48,7 @@ class FeatureQueue:
     """
 
     def __init__(self, capacity: int, dim: int):
+        check_allocation((capacity, dim))
         self.capacity = capacity
         self.buffers = [np.zeros((capacity, dim)), np.zeros((capacity, dim))]
         self.fill = 0

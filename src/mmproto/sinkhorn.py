@@ -19,23 +19,23 @@ from .numerics import as_matrix
 @dataclass(frozen=True)
 class SinkhornConfig:
     epsilon: float = 0.05
-    n_iterations: int = 3
-    # 0 runs exactly n_iterations sweeps; a tolerance > 0 selects the damped
-    # Newton solver, capped at n_iterations steps
-    convergence_tolerance: float = 0.0
+    n_iterations: int = 3  # fixed sweeps; 0 solves to the fixed point
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise UsageError(
                 f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.n_iterations < 1:
+        if self.n_iterations < 0:
             raise UsageError(
-                f"n_iterations must be >= 1, got {self.n_iterations}")
-        if not 0 <= self.convergence_tolerance < np.inf:
-            raise UsageError("convergence_tolerance must be finite and >= 0, "
-                             f"got {self.convergence_tolerance}")
+                f"n_iterations must be >= 0, got {self.n_iterations}")
 
 
+#: max-norm marginal residual at which a converged solve stops
+TOLERANCE = 1e-8
+#: Newton steps after which a converged solve stops unconverged
+MAX_NEWTON_STEPS = 1000
+#: line-search trials, each halving the step, before a fallback sweep
+MAX_BACKTRACKS = 40
 #: Newton systems whose Schur complement has at least this order are solved
 #: by conjugate gradients, smaller ones by a dense factorization; one step
 #: costs about the same both ways at this order
@@ -50,8 +50,7 @@ CG_MAX_ITERATIONS = 1000
 
 def converged_config(epsilon: float) -> SinkhornConfig:
     """Iterate to the fixed point instead of a fixed sweep count."""
-    return SinkhornConfig(epsilon=epsilon, n_iterations=1000,
-                          convergence_tolerance=1e-8)
+    return SinkhornConfig(epsilon=epsilon, n_iterations=0)
 
 
 @dataclass
@@ -60,12 +59,12 @@ class CodeMatrix:
 
     A converged-mode solve also reports its final prototype potentials `u`
     (log row scalings, length K), which can start a later solve, the Newton
-    steps it took, whether its marginal residual reached the tolerance, and
+    steps it took, whether its marginal residual reached `TOLERANCE`, and
     its fallbacks: line-search trials rejected (`backtracks`), sweeps taken
     in place of a Newton step whose direction was not finite (a singular
-    Schur system, or an overflow) or whose 40 backtracks all failed
+    Schur system, or an overflow) or whose `MAX_BACKTRACKS` trials all failed
     (`fallback_sweeps`), and Newton steps whose conjugate gradients stopped
-    short of their tolerance (`inexact_steps`). `residual` is its final
+    short of `CG_TOLERANCE` (`inexact_steps`). `residual` is its final
     marginal residual. Fixed sweeps and the single-row or single-column
     closed form carry no potentials, count nothing and report a NaN
     residual; fixed-sweep codes report `converged` False.
@@ -92,14 +91,14 @@ def compute_codes(scores, config: SinkhornConfig,
                   start: np.ndarray | None = None) -> CodeMatrix:
     """Scale exp(scores / epsilon) onto the equipartition polytope.
 
-    With convergence_tolerance == 0 this runs exactly `n_iterations`
-    alternating sweeps (rows to 1/K, then columns to 1/B); a row or column
-    whose kernel underflows to zero is a `NumericalError`, and in either
-    mode so is a quotient scores / epsilon that overflows. With a nonzero
-    tolerance it solves for the fixed point directly: plain sweeps crawl
-    for sharp kernels (small epsilon), so the converged path switches to a
-    damped Newton iteration on the log-domain scaling potentials, which
-    reaches the same fixed point in a handful of steps. It starts from
+    With `n_iterations` > 0 this runs exactly that many alternating sweeps
+    (rows to 1/K, then columns to 1/B); a row or column whose kernel
+    underflows to zero is a `NumericalError`, and in either mode so is a
+    quotient scores / epsilon that overflows. With `n_iterations` 0 it
+    solves for the fixed point directly, to the marginal residual
+    `TOLERANCE`: plain sweeps crawl for sharp kernels (small epsilon), so
+    it takes damped Newton steps on the log-domain scaling potentials,
+    which reach the same fixed point in a handful of steps. It starts from
     `start`, the potentials `u` of an earlier converged solve over the same
     K prototypes, or from zero potentials when `start` is None (the
     fixed-sweep mode ignores it). A single row or column leaves one
@@ -120,12 +119,11 @@ def compute_codes(scores, config: SinkhornConfig,
         raise UsageError(f"start potentials {np.shape(start)} for {k} rows")
     if start is not None and not np.isfinite(start).all():
         raise UsageError("start potentials contain NaN or Inf")
-    tol = config.convergence_tolerance
     if min(k, b) == 1:
         return CodeMatrix(np.full((k, b), 1.0 / (k * b)), converged=True)
-    if tol > 0.0:
+    if config.n_iterations == 0:
         with np.errstate(all="ignore"):  # it rejects non-finite steps
-            return _converged_solve(s, tol, config.n_iterations, start)
+            return _converged_solve(s, start)
 
     with np.errstate(all="ignore"):  # a shift that overflows is -inf
         q = np.exp(s - s.max())  # global max subtraction: exp() <= 1
@@ -148,8 +146,7 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
-                     start: np.ndarray | None) -> CodeMatrix:
+def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
     """Fixed point of Diag(lambda) exp(log_kernel) Diag(mu) with uniform
     marginals, via Newton steps on the potentials. The solve centres
     `start` (zero potentials when None) as u and fits v to it with one
@@ -187,14 +184,14 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
 
     row, col, residual = kernel(u, v)
     steps = backtracks = fallback_sweeps = inexact_steps = 0
-    while not residual < tol and steps < max_iterations:
+    while not residual < TOLERANCE and steps < MAX_NEWTON_STEPS:
         steps += 1
         du, dv, exact = _newton_step(m, row, col, row - r, (col - c)[:-1])
         inexact_steps += not exact
 
         finite = np.isfinite(du).all() and np.isfinite(dv).all()
         t = 1.0
-        for _ in range(40 if finite else 0):  # backtrack on the residual
+        for _ in range(MAX_BACKTRACKS if finite else 0):  # on the residual
             ut, vt = u + t * du, v + t * dv
             rowt, colt, trial = kernel(ut, vt)
             if trial < residual:
@@ -208,7 +205,7 @@ def _converged_solve(log_kernel: np.ndarray, tol: float, max_iterations: int,
             fallback_sweeps += 1
             u, v = sweep(v)
             row, col, residual = kernel(u, v)
-    return CodeMatrix(m, u, steps, bool(residual < tol), backtracks,
+    return CodeMatrix(m, u, steps, bool(residual < TOLERANCE), backtracks,
                       fallback_sweeps, inexact_steps, float(residual))
 
 

@@ -29,7 +29,7 @@ from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)

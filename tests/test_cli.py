@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mmproto import evaluation, gradcheck, numerics, objective
-from mmproto.cli import (CONFIG_FLAGS, EXIT_IO, EXIT_NUMERIC, EXIT_OK,
-                         EXIT_USAGE, main)
+from mmproto.cli import (CONFIG_FLAGS, CORPUS_FLAGS, EXIT_IO, EXIT_NUMERIC,
+                         EXIT_OK, EXIT_USAGE, main)
 from mmproto.data import PairedCorpus, load_corpus, save_corpus
 from mmproto.errors import FormatError
 from mmproto.model import embed
@@ -120,6 +120,19 @@ class TestPretrain:
         assert ckpt.config.k_prototypes == 5
         manifest = json.loads((tmp_path / "run.ckpt.manifest.json").read_text())
         assert manifest["config"]["inline_overrides"] == {"k_prototypes": "5"}
+
+    def test_config_zero_iterations_trains_converged(self, tmp_path,
+                                                     corpus_file, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("loss.sinkhorn.n_iterations=0\n")
+        out = tmp_path / "run.ckpt"
+        assert run(capsys, "pretrain", "--data", str(corpus_file),
+                   "--out", str(out), "--config", str(cfg), "--epochs", "1",
+                   "--batch-size", "16", "--k", "4", "--embed-dim", "6",
+                   "--hidden-dims", "8")[0] == EXIT_OK
+        ckpt = load_checkpoint(out)
+        assert ckpt.config.loss.sinkhorn.n_iterations == 0
+        assert all(np.abs(u).max() > 0 for u in ckpt.potentials)
 
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_file,
                                           capsys):
@@ -262,6 +275,10 @@ class TestCheckpointFormat:
         assert "offset" in err
 
 
+#: a size whose array numpy cannot index (it exceeds 2**63)
+BEYOND_NUMPY = 99999999999999999999
+
+
 class TestExitCodes:
     """One row per error class: the exit code and the stderr prefix."""
 
@@ -385,9 +402,10 @@ class TestExitCodes:
         ({}, "probe --ckpt {ckpt} --data {corpus} --probe linear --knn-k -3",
          EXIT_USAGE, "usage error: k_neighbors must be >= 1, got -3"),
         ({"scores.csv": "1,2\n3,4\n"},
-         "codes --scores {tmp}/scores.csv --converged --iters 0",
-         EXIT_USAGE, "usage error: n_iterations must be >= 1, got 0"),
-        ({"big.ckpt": "MMCK\x05\x00\x00\x00\x22\x00\x00\x00"
+         "codes --scores {tmp}/scores.csv --converged --iters 5",
+         EXIT_USAGE, "usage error: --converged is --iters 0; give one of "
+                     "the two"),
+        ({"big.ckpt": "MMCK\x06\x00\x00\x00\x22\x00\x00\x00"
                       "encoder.hidden_dims=1000000000000\n"},
          "probe --ckpt {tmp}/big.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: truncated checkpoint: tensor data needs "
@@ -434,6 +452,32 @@ class TestExitCodes:
               ("prototype_freeze_iterations", "prototype_freeze_iterations",
                -7),
               ("loss.queue_start_iteration", "queue_start_iteration", -9)]],
+        ({"train.cfg": "loss.sinkhorn.convergence_tolerance=1e-08\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE, "usage error: unknown config key(s): "
+                     "loss.sinkhorn.convergence_tolerance"),
+        ({"v5.ckpt": "MMCK\x05\x00\x00\x00"},
+         "probe --ckpt {tmp}/v5.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: unsupported checkpoint version 5 at offset 4"),
+        # sizes beyond numpy's index range are allocations no machine holds
+        *[({}, f"gen-data {flag} {size} --out {{tmp}}/x.mmp", EXIT_IO,
+           "error: out of memory: Unable to allocate ")
+          for flag, size in [*[(flag, BEYOND_NUMPY) for flag in
+                               ("--n", "--clusters", "--latent-dim", "--d1",
+                                "--d2")],
+                             ("--n", 2**62)]],
+        *[({}, f"pretrain --data {{corpus}} --out {{tmp}}/x.ckpt {flag} "
+               f"{size}", EXIT_IO, "error: out of memory: Unable to allocate ")
+          for flag, size in [*[(flag, BEYOND_NUMPY) for flag in
+                               ("--k", "--queue-length", "--embed-dim",
+                                "--hidden-dims")],
+                             ("--queue-length", 2**58)]],
+        *[({"train.cfg": f"{key}={BEYOND_NUMPY}\n"},
+           "pretrain --data {corpus} --out {tmp}/x.ckpt "
+           "--config {tmp}/train.cfg",
+           EXIT_IO, "error: out of memory: Unable to allocate ")
+          for key in ("k_prototypes", "loss.queue_length",
+                      "encoder.embed_dim", "encoder.hidden_dims")],
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -546,6 +590,14 @@ class TestCodes:
                 for line in out.strip().splitlines()]
         np.testing.assert_allclose(
             rows, [[0.375, 0.125], [0.125, 0.375]], atol=1e-6)
+
+    def test_zero_iterations_are_the_converged_solve(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("0.3,-0.5,-0.9\n0.6,0.8,0.2\n")
+        outputs = [run(capsys, "codes", "--scores", str(scores), *flags)
+                   for flags in (["--iters", "0"], ["--converged"])]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK and outputs[0][1]
 
     def test_zero_epsilon_usage_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -673,6 +725,18 @@ class TestUsage:
         code, out, _ = run(capsys, "gen-data", "--help")
         assert code == EXIT_OK
         assert "default" in out
+
+    def test_gen_data_help_lists_corpus_defaults(self, capsys):
+        code, out, _ = run(capsys, "gen-data", "--help")
+        assert code == EXIT_OK
+        text = " ".join(out.split())  # undo argparse's line wrapping
+        for flag, (_, _, default, help_text) in CORPUS_FLAGS.items():
+            metavar = flag[2:].upper().replace("-", "_")
+            assert f"{flag} {metavar} {help_text} (default: {default})" in text
+        assert {flag: default for flag, (_, _, default, _)
+                in CORPUS_FLAGS.items()} == {
+            "--n": 2000, "--clusters": 8, "--latent-dim": 16, "--d1": 32,
+            "--d2": 32, "--sigma": 0.05, "--seed": 0}
 
     def test_pretrain_help_lists_config_defaults(self, capsys):
         code, out, _ = run(capsys, "pretrain", "--help")

@@ -59,13 +59,23 @@ class TestConfig:
         with pytest.raises(UsageError):
             SinkhornConfig(epsilon=0.0)
 
-    def test_iterations_at_least_one(self):
-        with pytest.raises(UsageError):
-            SinkhornConfig(n_iterations=0)
+    def test_iterations_not_negative(self):
+        with pytest.raises(UsageError,
+                           match="^n_iterations must be >= 0, got -1$"):
+            SinkhornConfig(n_iterations=-1)
+
+    def test_zero_iterations_solve_to_tolerance(self):
+        codes = compute_codes(random_scores(np.random.default_rng(3), 6, 9),
+                              SinkhornConfig(EPS, 0))
+        assert codes.converged and codes.newton_steps > 0
+        assert codes.residual < sinkhorn.TOLERANCE
+
+    def test_converged_config_is_zero_sweeps(self):
+        assert converged_config(0.05) == SinkhornConfig(0.05, 0)
+        assert SinkhornConfig().n_iterations == 3
 
     @pytest.mark.parametrize("field, value", [
-        ("epsilon", np.nan), ("epsilon", np.inf),
-        ("convergence_tolerance", np.nan), ("convergence_tolerance", np.inf)])
+        ("epsilon", np.nan), ("epsilon", np.inf)])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(UsageError, match=f"^{field} must be finite"):
             SinkhornConfig(**{field: value})
@@ -374,13 +384,13 @@ class TestDiagnostics:
         assert ((cold.newton_steps, cold.backtracks, cold.fallback_sweeps)
                 == (zero.newton_steps, zero.backtracks, zero.fallback_sweeps))
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
         scores = random_scores(np.random.default_rng(4), 6, 9)
-        capped = SinkhornConfig(epsilon=EPS, n_iterations=1,
-                                convergence_tolerance=1e-12)
-        codes = compute_codes(scores, capped)
-        assert codes.newton_steps == 1 and not codes.converged
         assert compute_codes(scores, converged_config(EPS)).converged
+        monkeypatch.setattr(sinkhorn, "MAX_NEWTON_STEPS", 1)
+        monkeypatch.setattr(sinkhorn, "TOLERANCE", 1e-12)
+        codes = compute_codes(scores, converged_config(EPS))
+        assert codes.newton_steps == 1 and not codes.converged
 
     def test_fixed_sweeps_carry_no_potentials(self):
         codes = compute_codes(random_scores(np.random.default_rng(5), 4, 5),

@@ -63,6 +63,14 @@ class TestConfig:
         cfg = tiny_config()
         assert config_from_text(config_to_text(cfg)) == cfg
 
+    @pytest.mark.parametrize("sinkhorn", [SinkhornConfig(),
+                                          converged_config(0.05)],
+                             ids=["sweeps", "converged"])
+    def test_config_text_round_trip_each_sinkhorn_mode(self, sinkhorn):
+        cfg = tiny_config(loss=dataclasses.replace(tiny_config().loss,
+                                                   sinkhorn=sinkhorn))
+        assert config_from_text(config_to_text(cfg)) == cfg
+
     def test_config_text_sorted_lines(self):
         lines = [l.split("=")[0] for l in
                  config_to_text(tiny_config()).splitlines()]
@@ -85,7 +93,6 @@ class TestConfig:
             "k_prototypes=16\n"
             "loss.queue_length=256\n"
             "loss.queue_start_iteration=-1\n"
-            "loss.sinkhorn.convergence_tolerance=0.0\n"
             "loss.sinkhorn.epsilon=0.05\n"
             "loss.sinkhorn.n_iterations=3\n"
             "loss.temperature=0.1\n"
@@ -344,17 +351,25 @@ class TestCheckpointFile:
                                  f"{count_at} is not {count}$"):
             load_checkpoint(path)
 
-    def test_version_4_rejected(self, tmp_path):
-        """Version 4 files may lack the potentials; they are not read."""
+    def assert_version_rejected(self, tmp_path, version):
         path = tmp_path / "x.ckpt"
         save_checkpoint(random_init_checkpoint(tiny_config()), path)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = (4).to_bytes(4, "little")
+        blob[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError,
-                           match="^unsupported checkpoint version 4 at "
-                                 "offset 4$"):
+                           match=f"^unsupported checkpoint version {version} "
+                                 "at offset 4$"):
             load_checkpoint(path)
+
+    def test_version_4_rejected(self, tmp_path):
+        """Version 4 files may lack the potentials; they are not read."""
+        self.assert_version_rejected(tmp_path, 4)
+
+    def test_version_5_rejected(self, tmp_path):
+        """Version 5 config text holds a Sinkhorn tolerance key that the
+        config no longer has; those files are not read."""
+        self.assert_version_rejected(tmp_path, 5)
 
     def test_repeated_config_key_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
