@@ -10,6 +10,7 @@ the `exit_code` of the `mmproto.errors` class raised (1 file format,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -120,12 +121,11 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("codes", help="Sinkhorn demo on a CSV score matrix")
     c.add_argument("--scores", required=True,
                    help="CSV file, one score row per line")
-    c.add_argument("--epsilon", type=float, default=0.05,
+    c.add_argument("--epsilon", type=float, default=SinkhornConfig.epsilon,
                    help="entropy regularization (default: %(default)s)")
-    c.add_argument("--iters", type=int, help="normalization sweeps, 0 for "
-                   f"--converged (default: {SinkhornConfig.n_iterations})")
-    c.add_argument("--converged", action="store_true",
-                   help="iterate to the fixed point: --iters 0")
+    c.add_argument("--iters", type=int, default=SinkhornConfig.n_iterations,
+                   help="normalization sweeps; 0 solves to the fixed point "
+                        "(default: %(default)s)")
 
     d = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     d.add_argument("--seed", type=int, default=0,
@@ -177,7 +177,7 @@ def _cmd_pretrain(args) -> int:
         nonlocal metrics_file
         if metrics_file is None:
             metrics_file = open(args.metrics, "a")
-        metrics_file.write(json.dumps(record.to_dict()) + "\n")
+        metrics_file.write(json.dumps(dataclasses.asdict(record)) + "\n")
 
     try:
         ckpt, metrics = train(corpus, config, resume_from=resume,
@@ -221,10 +221,6 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_codes(args) -> int:
-    if args.converged and args.iters is not None:
-        raise UsageError("--converged is --iters 0; give one of the two")
-    if args.iters is None:
-        args.iters = 0 if args.converged else SinkhornConfig.n_iterations
     config = SinkhornConfig(args.epsilon, args.iters)
     try:
         with warnings.catch_warnings():

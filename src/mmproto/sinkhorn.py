@@ -2,9 +2,12 @@
 
 Given a K x B score matrix, produces the soft assignment Q on the
 transportation polytope with uniform marginals: every row sums to 1/K,
-every column to 1/B, total mass 1. The solver alternates row and column
-rescaling of exp(scores / epsilon); higher epsilon spreads mass, lower
-epsilon sharpens assignments.
+every column to 1/B, total mass 1, by scaling the rows and columns of
+exp(scores / epsilon); higher epsilon spreads mass, lower epsilon sharpens
+assignments. `SinkhornConfig.n_iterations` picks the solver: that many
+alternating row and column sweeps, or, at 0, the converged solve, damped
+Newton steps on the log-domain scaling potentials until the marginals are
+within `TOLERANCE`.
 """
 from __future__ import annotations
 

@@ -3,14 +3,15 @@
 One optimizer step per batch: embed both modalities, evaluate the swapped
 loss (with the feature queue's rows once the queue is switched on), push the
 batch into the queue, backprop through the tape, update with momentum SGD,
-and pull the prototypes back onto the unit sphere. Prototype gradients are
-zeroed for an initial freeze window so the codes stabilize before the
-cluster centers move. Each converged code solve starts from the latest
-prototype potentials of its modality, zeros until the run's first solve:
-once the queue feeds the codes, consecutive problems share all but one
-batch of their columns. The checkpoint is the run state: `train` advances a
-copy of it in place, so the parameters, momentum buffers, feature queue and
-potentials that a bit-exact resume needs are the ones the file holds.
+and pull the prototypes back onto the unit sphere. For an initial freeze
+window the update skips the prototypes, leaving them and their momentum
+buffer as they are, so the codes stabilize before the cluster centers
+move. Each converged code solve starts from the latest prototype potentials
+of its modality, zeros until the run's first solve: once the queue feeds
+the codes, consecutive problems share all but one batch of their columns.
+The checkpoint is the run state: `train` advances a copy of it in place, so
+the parameters, momentum buffers, feature queue and potentials that a
+bit-exact resume needs are the ones the file holds.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .numerics import Tensor, backward
 from .objective import FeatureQueue, LossConfig, swapped_loss
 
 CHECKPOINT_MAGIC = b"MMCK"
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,6 @@ class MetricsRecord:
     code_entropy: float
     queue_fill: int
 
-    def to_dict(self) -> dict:
-        return {"iter": self.iteration, "epoch": self.epoch,
-                "loss": self.loss, "lr": self.lr,
-                "code_entropy": self.code_entropy,
-                "queue_fill": self.queue_fill}
-
 
 @dataclass
 class Checkpoint:
@@ -91,10 +86,6 @@ class Checkpoint:
 
 # ---- canonical config text ----------------------------------------------
 
-#: tuple fields written one element per key, under their historical names
-_SPLIT_KEYS = {"encoder.input_dims": ("encoder.d1", "encoder.d2")}
-
-
 def _leaves(cfg, prefix=""):
     """(dotted key, value) of every field, walking nested configs."""
     for f in dataclasses.fields(cfg):
@@ -109,9 +100,7 @@ def config_to_text(cfg: TrainConfig) -> str:
     """Flatten to sorted key=value lines; embeddable in checkpoint files."""
     items = {}
     for key, value in _leaves(cfg):
-        if key in _SPLIT_KEYS:
-            items.update(zip(_SPLIT_KEYS[key], map(str, value)))
-        elif isinstance(value, tuple):
+        if isinstance(value, tuple):
             items[key] = ",".join(map(str, value))
         else:
             items[key] = repr(value)
@@ -157,10 +146,6 @@ def _apply(cfg, kv: dict, prefix=""):
         key, value = prefix + f.name, getattr(cfg, f.name)
         if dataclasses.is_dataclass(value):
             changes[f.name] = _apply(value, kv, key + ".")
-        elif key in _SPLIT_KEYS:
-            changes[f.name] = tuple(
-                _parse(k, kv.pop(k), 0) if k in kv else v
-                for k, v in zip(_SPLIT_KEYS[key], value))
         elif key in kv:
             changes[f.name] = _parse(key, kv.pop(key), f.default)
     return dataclasses.replace(cfg, **changes)
@@ -258,33 +243,35 @@ def train(corpus: PairedCorpus, config: TrainConfig,
         try:
             loss_t, solved = swapped_loss(z1, z2, params["prototypes"], rows,
                                           config.loss, start=ckpt.potentials)
+            queue.push(z1.data, z2.data)
+            if solved is not None:  # None: fixed sweeps or a closed form
+                ckpt.potentials = solved
+            loss_val = float(loss_t.data[0, 0])
+            if not np.isfinite(loss_val):
+                raise NumericalError(f"non-finite loss {loss_val}")
+
+            grads = backward(loss_t, params)
+            frozen = iteration < freeze_iters
+            if lr != 0.0:  # zero step size leaves every tensor bit-identical
+                # an update that overflows shows in the metric's scores
+                # below, in the next step's, or in save_checkpoint
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for name, p in params.items():
+                        if frozen and name == "prototypes":
+                            continue
+                        v = velocity[name]
+                        v *= config.momentum
+                        v += grads[name]
+                        p.data -= lr * v
+                    if not frozen:
+                        renormalize_prototypes(params["prototypes"])
+
+            code_ent = _code_usage_entropy(z1.data, z2.data,
+                                           params["prototypes"].data,
+                                           config.loss, ckpt.potentials)
         except NumericalError as exc:
             raise NumericalAbort(iteration, batch.sample_indices,
                                  str(exc)) from None
-        queue.push(z1.data, z2.data)
-        if solved is not None:  # None: fixed sweeps or a closed form
-            ckpt.potentials = solved
-        loss_val = float(loss_t.data[0, 0])
-        if not np.isfinite(loss_val):
-            raise NumericalAbort(iteration, batch.sample_indices,
-                                 f"non-finite loss {loss_val}")
-
-        grads = backward(loss_t, params)
-        frozen = iteration < freeze_iters
-        if lr != 0.0:  # zero step size leaves every tensor bit-identical
-            for name, p in params.items():
-                if frozen and name == "prototypes":
-                    continue
-                v = velocity[name]
-                v *= config.momentum
-                v += grads[name]
-                p.data -= lr * v
-            if not frozen:
-                renormalize_prototypes(params["prototypes"])
-
-        code_ent = _code_usage_entropy(z1.data, z2.data,
-                                       params["prototypes"].data,
-                                       config.loss, ckpt.potentials)
         record = MetricsRecord(iteration, epoch, loss_val, lr,
                                code_ent, queue.fill)
         metrics.append(record)
@@ -349,7 +336,12 @@ def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
+    """Write `ckpt`; a tensor holding NaN or Inf, which `load_checkpoint`
+    would refuse, is a `NumericalError`, and no file is opened."""
     tensors = _tensors(ckpt)
+    for name, arr in tensors:
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"tensor {name} holds NaN or Inf")
     cfg_text = config_to_text(ckpt.config).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)

@@ -1,6 +1,8 @@
 import functools
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from mmproto import evaluation, gradcheck, numerics, objective
 from mmproto.cli import (CONFIG_FLAGS, CORPUS_FLAGS, EXIT_IO, EXIT_NUMERIC,
-                         EXIT_OK, EXIT_USAGE, main)
+                         EXIT_OK, EXIT_USAGE, _build_parser, main)
 from mmproto.data import PairedCorpus, load_corpus, save_corpus
 from mmproto.errors import FormatError
 from mmproto.model import embed
@@ -95,7 +97,7 @@ class TestPretrain:
         assert code == EXIT_OK
         lines = [json.loads(l) for l in metrics.read_text().splitlines()]
         assert len(lines) == 8  # 120 samples / batch 16 -> 8 steps
-        assert [l["iter"] for l in lines] == list(range(8))
+        assert [l["iteration"] for l in lines] == list(range(8))
         ckpt = load_checkpoint(out)
         assert ckpt.iteration == 8
 
@@ -154,7 +156,7 @@ class TestPretrain:
 
         assert full.read_bytes() == resumed.read_bytes()
         lines = [json.loads(l) for l in metrics.read_text().splitlines()]
-        assert [l["iter"] for l in lines] == list(range(7, 16))
+        assert [l["iteration"] for l in lines] == list(range(7, 16))
 
     @pytest.mark.parametrize("flags", [["--k", "4"], ["--config", "x.cfg"]])
     def test_resume_rejects_config_flags(self, tmp_path, corpus_file,
@@ -170,7 +172,7 @@ class TestPretrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("config, flags", [
-        ("encoder.d1=20\n", []),
+        ("encoder.input_dims=20,8\n", []),
         ("", ["--resume", "{ckpt}", "--stop-after", "3"]),
     ])
     def test_usage_error_writes_no_metrics(self, tmp_path, corpus_file,
@@ -325,7 +327,7 @@ class TestExitCodes:
          EXIT_USAGE, "usage error: the cluster probe takes modality m1 or m2"),
         ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --stop-after -3",
          EXIT_USAGE, "usage error: stop_after must be >= 0, got -3"),
-        ({"train.cfg": "encoder.d1=20\nencoder.d2=8\n"},
+        ({"train.cfg": "encoder.input_dims=20,8\n"},
          "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
          EXIT_USAGE, "usage error: modality 1 expects width 20, got 8"),
         ({"v1.ckpt": "MMCK\x01\x00\x00\x00"},
@@ -365,10 +367,10 @@ class TestExitCodes:
            f"codes --scores {{tmp}}/scores.csv --epsilon 1e-310{flag}",
            EXIT_NUMERIC,
            "numerical error: scores / epsilon overflow at epsilon 1e-310")
-          for flag in (" --converged", "")],
+          for flag in (" --iters 0", "")],
         ({"scores.csv": "0.3,-0.5,-0.9,-1.0\n0.6,0.8,0.2,0.5\n"
                         "0.1,0.9,0.6,-1.0\n"},
-         "codes --scores {tmp}/scores.csv --epsilon 0.001 --converged",
+         "codes --scores {tmp}/scores.csv --epsilon 0.001 --iters 0",
          EXIT_NUMERIC, "numerical error: codes did not converge: 1000 Newton "
                        "steps left residual "),
         ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 1 "
@@ -402,10 +404,9 @@ class TestExitCodes:
         ({}, "probe --ckpt {ckpt} --data {corpus} --probe linear --knn-k -3",
          EXIT_USAGE, "usage error: k_neighbors must be >= 1, got -3"),
         ({"scores.csv": "1,2\n3,4\n"},
-         "codes --scores {tmp}/scores.csv --converged --iters 5",
-         EXIT_USAGE, "usage error: --converged is --iters 0; give one of "
-                     "the two"),
-        ({"big.ckpt": "MMCK\x06\x00\x00\x00\x22\x00\x00\x00"
+         "codes --scores {tmp}/scores.csv --converged",  # now --iters 0
+         EXIT_USAGE, "usage: mmproto "),  # argparse: unrecognized argument
+        ({"big.ckpt": "MMCK\x07\x00\x00\x00\x22\x00\x00\x00"
                       "encoder.hidden_dims=1000000000000\n"},
          "probe --ckpt {tmp}/big.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: truncated checkpoint: tensor data needs "
@@ -478,6 +479,29 @@ class TestExitCodes:
            EXIT_IO, "error: out of memory: Unable to allocate ")
           for key in ("k_prototypes", "loss.queue_length",
                       "encoder.embed_dim", "encoder.hidden_dims")],
+        ({"train.cfg": "encoder.d1=20\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg",
+         EXIT_USAGE, "usage error: unknown config key(s): encoder.d1"),
+        ({"v6.ckpt": "MMCK\x06\x00\x00\x00"},
+         "probe --ckpt {tmp}/v6.ckpt --data {corpus} --probe cluster",
+         EXIT_IO, "error: unsupported checkpoint version 6 at offset 4"),
+        # an SGD update that overflows: caught by the next step's scores,
+        # by the code-usage metric's, or, after the last step, by
+        # save_checkpoint, which writes no file
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 2 "
+             "--k 4 --embed-dim 6 --hidden-dims 8 --lr 1e308",
+         EXIT_NUMERIC, "numerical error: scores contain NaN or Inf at "
+                       "iteration 1, batch indices ["),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 1 "
+             "--batch-size 200 --k 4 --embed-dim 6 --hidden-dims 8 "
+             "--lr 1e308",
+         EXIT_NUMERIC, "numerical error: tensor param.adapter1.b holds NaN "
+                       "or Inf\n"),
+        ({"train.cfg": "prototype_freeze_iterations=0\n"},
+         "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg "
+         "--k 4 --embed-dim 6 --hidden-dims 8 --lr 1e308",
+         EXIT_NUMERIC, "numerical error: scores contain NaN or Inf at "
+                       "iteration 0, batch indices ["),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -500,9 +524,12 @@ class TestExitCodes:
         save_checkpoint(mid, tmp_path / "mid.ckpt")
         corpus.modality1[5, 0] = np.nan
         save_corpus(corpus, tmp_path / "nan.mmp")
-        ckpt = load_checkpoint(trained_ckpt)
-        ckpt.params["adapter1.w"][2, 3] = np.inf
-        save_checkpoint(ckpt, tmp_path / "nan.ckpt")
+        # save_checkpoint refuses an Inf, so the file's first adapter1.w
+        # value is overwritten (after the name, the rank and two dims)
+        blob = bytearray(trained_ckpt.read_bytes())
+        at = blob.index(b"param.adapter1.w") + len("param.adapter1.w") + 12
+        blob[at:at + 8] = np.float64(np.inf).tobytes()
+        (tmp_path / "nan.ckpt").write_bytes(bytes(blob))
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         argv = argv.format(tmp=tmp_path, corpus=corpus_file, ckpt=trained_ckpt)
@@ -572,7 +599,7 @@ class TestCodes:
         scores = tmp_path / "scores.csv"
         scores.write_text("0,0\n0,0\n")
         code, out, _ = run(capsys, "codes", "--scores", str(scores),
-                           "--converged")
+                           "--iters", "0")
         assert code == EXIT_OK
         values = [float(v) for line in out.strip().splitlines()
                   for v in line.split(",")]
@@ -584,20 +611,12 @@ class TestCodes:
         scores = tmp_path / "scores.csv"
         scores.write_text(f"{s},0\n0,{s}\n")
         code, out, _ = run(capsys, "codes", "--scores", str(scores),
-                           "--epsilon", str(eps), "--converged")
+                           "--epsilon", str(eps), "--iters", "0")
         assert code == EXIT_OK
         rows = [[float(v) for v in line.split(",")]
                 for line in out.strip().splitlines()]
         np.testing.assert_allclose(
             rows, [[0.375, 0.125], [0.125, 0.375]], atol=1e-6)
-
-    def test_zero_iterations_are_the_converged_solve(self, tmp_path, capsys):
-        scores = tmp_path / "scores.csv"
-        scores.write_text("0.3,-0.5,-0.9\n0.6,0.8,0.2\n")
-        outputs = [run(capsys, "codes", "--scores", str(scores), *flags)
-                   for flags in (["--iters", "0"], ["--converged"])]
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] == EXIT_OK and outputs[0][1]
 
     def test_zero_epsilon_usage_error(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
@@ -748,3 +767,22 @@ class TestUsage:
                 value = ",".join(map(str, value))
             metavar = flag[2:].upper().replace("-", "_")
             assert f"{flag} {metavar} {help_text} (default: {value})" in text
+
+    def test_readme_command_lines_parse(self):
+        """Every `mmproto` line of README's sh blocks parses: a README
+        example that names a removed flag fails here. A literal `...`
+        stands for flags the example leaves out."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(),
+                            re.M | re.S)
+        lines = "".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [words[1:] for words in
+                    (shlex.split(line, comments=True) for line in lines)
+                    if words[:1] == ["mmproto"]]
+        assert len(commands) >= 10
+        parser = _build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args([word for word in argv if word != "..."])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: mmproto {argv}")

@@ -9,7 +9,8 @@ import pytest
 
 import mmproto
 from mmproto.data import CorpusSpec, generate, save_corpus
-from mmproto.errors import FormatError, NumericalAbort, UsageError
+from mmproto.errors import (FormatError, NumericalAbort, NumericalError,
+                            UsageError)
 from mmproto.model import EncoderConfig
 from mmproto.objective import LossConfig
 from mmproto.sinkhorn import SinkhornConfig, converged_config
@@ -17,7 +18,7 @@ from mmproto.trainer import (CHECKPOINT_VERSION, Checkpoint, TrainConfig,
                              config_from_text, config_to_text, cosine_lr,
                              epoch_shuffle_seed, load_checkpoint,
                              model_from_checkpoint, random_init_checkpoint,
-                             save_checkpoint, train, _tensors)
+                             save_checkpoint, train, _leaves, _tensors)
 
 
 def tiny_corpus(seed=5, n=48):
@@ -85,10 +86,9 @@ class TestConfig:
         assert config_to_text(TrainConfig()) == (
             "base_lr=0.5\n"
             "batch_size=32\n"
-            "encoder.d1=32\n"
-            "encoder.d2=32\n"
             "encoder.embed_dim=128\n"
             "encoder.hidden_dims=64\n"
+            "encoder.input_dims=32,32\n"
             "epochs=30\n"
             "k_prototypes=16\n"
             "loss.queue_length=256\n"
@@ -99,6 +99,17 @@ class TestConfig:
             "momentum=0.9\n"
             "prototype_freeze_iterations=-1\n"
             "seed=0\n")
+
+    def test_config_text_keys_are_field_paths(self):
+        keys = [l.split("=")[0] for l in
+                config_to_text(TrainConfig()).splitlines()]
+        assert keys == sorted(key for key, _ in _leaves(TrainConfig()))
+
+    def test_input_dims_round_trip(self):
+        cfg = config_from_text("encoder.input_dims=6,7\n")
+        assert cfg.encoder.input_dims == (6, 7)
+        assert "encoder.input_dims=6,7\n" in config_to_text(cfg)
+        assert config_from_text(config_to_text(cfg)) == cfg
 
     def test_unknown_keys_named(self):
         with pytest.raises(UsageError, match="unknown config key.*: "
@@ -112,7 +123,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("line", ["epochs=3.5", "base_lr=fast",
                                       "encoder.hidden_dims=8,x",
-                                      "encoder.d2=", "loss.sinkhorn.epsilon=-"])
+                                      "encoder.input_dims=",
+                                      "loss.sinkhorn.epsilon=-"])
     def test_bad_value_names_key(self, line):
         key = line.split("=")[0]
         with pytest.raises(UsageError, match=f"^config key {key}: bad value"):
@@ -334,13 +346,14 @@ class TestCheckpointFile:
         ckpt, _ = train(tiny_corpus(), cfg, stop_after=9)
         save_checkpoint(ckpt, path)
         assert checkpoints_equal(load_checkpoint(path), ckpt)
-        ckpt.potentials[1][0] = np.inf
-        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        record = blob.index(b"potentials.m2") - 4  # its name length
+        at = record + 4 + 13 + 4 + 4  # name length, name, rank, K
+        path.write_bytes(blob[:at] + np.float64(np.inf).tobytes()
+                         + blob[at + 8:])
         with pytest.raises(FormatError, match="tensor potentials.m2 at "
                                               "offset .* holds NaN or Inf"):
             load_checkpoint(path)
-        blob = path.read_bytes()
-        record = blob.index(b"potentials.m2") - 4  # its name length
         count_at = 16 + int.from_bytes(blob[8:12], "little") - 4
         count = int.from_bytes(blob[count_at:count_at + 4], "little")
         size = 4 + 13 + 4 + 4 + 8 * 4  # name length, name, rank, K, values
@@ -370,6 +383,21 @@ class TestCheckpointFile:
         """Version 5 config text holds a Sinkhorn tolerance key that the
         config no longer has; those files are not read."""
         self.assert_version_rejected(tmp_path, 5)
+
+    def test_version_6_rejected(self, tmp_path):
+        """Version 6 config text spells the input widths encoder.d1 and
+        encoder.d2; those files are not read."""
+        self.assert_version_rejected(tmp_path, 6)
+
+    def test_save_refuses_non_finite(self, tmp_path):
+        """A checkpoint that load_checkpoint would refuse is never written."""
+        ckpt = random_init_checkpoint(tiny_config())
+        ckpt.momentum_buffers["head0.w"][1, 2] = np.nan
+        path = tmp_path / "x.ckpt"
+        with pytest.raises(NumericalError,
+                           match="^tensor mom.head0.w holds NaN or Inf$"):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
 
     def test_repeated_config_key_rejected(self, tmp_path):
         path = tmp_path / "x.ckpt"
