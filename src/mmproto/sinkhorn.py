@@ -39,13 +39,17 @@ TOLERANCE = 1e-8
 MAX_NEWTON_STEPS = 1000
 #: line-search trials, each halving the step, before a fallback sweep
 MAX_BACKTRACKS = 40
-#: Newton systems whose Schur complement has at least this order are solved
-#: by conjugate gradients, smaller ones by a dense factorization; one step
-#: costs about the same both ways at this order
+#: Newton systems with min(K, B-1) at least this are solved by conjugate
+#: gradients, smaller ones by a dense factorization. At this order the
+#: conjugate-gradient step is already the cheaper: 2.3-2.7 ms against
+#: 7.4-8.0 ms per Newton step on clustered 512 x 600 and 600 x 513
+#: problems (2-core VM, OpenBLAS)
 CG_MIN_ORDER = 512
 #: relative residual |S x - rhs| / |rhs| at which conjugate gradients stop:
 #: a tenth of the loosest value that kept 1e-6's Newton steps and rejected
-#: trials on every problem of a measured grid; 1e-3 cost one problem a step
+#: trials on every problem of a measured grid, placed when the iteration
+#: solved the pinned complement, on which 1e-3 cost one problem a step (on
+#: the whole complement 1e-3 keeps them all and 1e-2 costs one)
 CG_TOLERANCE = 1e-5
 #: conjugate-gradient iterations after which a solve stops short
 CG_MAX_ITERATIONS = 1000
@@ -214,48 +218,57 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
 
 def _newton_step(m, row, col, g_u, g_v):
     """Newton step (du, dv) on the potentials for the system
-    [[diag(row), M'], [M'^T, diag(col')]] (du, dv') = -(g_u, g_v), where
-    M' and col' drop the last column, whose v is pinned (dv[-1] = 0) to
-    absorb the translation invariance u+t, v-t of the potentials.
+    [[diag(row), M], [M^T, diag(col)]] (du, dv) = -(g_u, g_v, g_last),
+    where `g_v` leaves out the last column's residual g_last. The system is
+    singular along the potentials' translation (u + t, v - t), on which the
+    plan does not depend; the step returned is pinned to dv[-1] = 0.
 
     Both diagonal blocks are diagonal, so the larger one is eliminated and
-    only the min(K, B-1)-sized Schur complement is solved (Brauer, Clason,
-    Lorenz & Wirth, arXiv:1710.06635): a diagonal minus a Gram product of
-    M' scaled by the eliminated block's inverse. Returns (du, dv, exact) as
-    `_schur_solve`.
+    only a Schur complement is solved (Brauer, Clason, Lorenz & Wirth,
+    arXiv:1710.06635): a diagonal minus a Gram product of M scaled by the
+    eliminated block's inverse. Below `CG_MIN_ORDER` of min(K, B-1) the pin
+    shapes the elimination: M and col drop the last column, which leaves a
+    nonsingular complement of order min(K, B-1) to factorize. From it up,
+    conjugate gradients solve the whole complement against all B columns,
+    of order K, or B when K > B-1, which is singular only along the
+    translation; their direction is shifted onto the pin afterwards.
+    Returns (du, dv, exact) as `_schur_solve`.
     """
     k, b = m.shape
-    mp, cp = m[:, :-1], col[:-1]
-    if k <= b - 1:
-        du, dv, exact = _schur_solve(mp, row, cp, g_u, g_v)
+    factorize = min(k, b - 1) < CG_MIN_ORDER
+    if factorize:
+        m, col = m[:, :-1], col[:-1]
     else:
-        dv, du, exact = _schur_solve(mp.T, cp, row, g_v, g_u)
-    return du, np.append(dv, 0.0), exact
+        g_v = np.append(g_v, col[-1] - 1.0 / b)  # g_last: marginal 1/B
+    if k <= b - 1:
+        du, dv, exact = _schur_solve(m, row, col, g_u, g_v, factorize)
+    else:
+        dv, du, exact = _schur_solve(m.T, col, row, g_v, g_u, factorize)
+    if factorize:
+        return du, np.append(dv, 0.0), exact
+    return du + dv[-1], dv - dv[-1], exact
 
 
-def _schur_solve(a, d, e, g, h):
+def _schur_solve(a, d, e, g, h, factorize):
     """(x, y, exact) solving [[diag(d), a], [a^T, diag(e)]] (x, y) = -(g, h)
     by eliminating y: (diag(d) - a diag(1/e) a^T) x = a (h / e) - g.
 
-    From `CG_MIN_ORDER` up, conjugate gradients solve it without forming the
-    Schur complement, preconditioned by its diagonal d - (a * a) / e, which
-    one einsum pass forms with no temporary the shape of `a`. Smaller
-    complements are factorized: the Gram product W W^T of the scaled copy
-    W = a diag(e)^(-1/2), made per step, is one buffer times its own
-    transpose, which numpy hands to BLAS syrk (one triangle, about half the
-    work of a general product). A singular complement is a failed step,
-    with a NaN (x, y): one whose Jacobi diagonal has an entry within the
-    rounding bound len(e) eps d of its own sum, or one the factorization
-    rejects. `exact` is False when conjugate gradients stopped short of
+    With `factorize` the complement is formed and factorized: the Gram
+    product W W^T of the scaled copy W = a diag(e)^(-1/2), made per step,
+    is one buffer times its own transpose, which numpy hands to BLAS syrk
+    (one triangle, about half the work of a general product). Otherwise
+    conjugate gradients solve it without forming it, preconditioned by its
+    diagonal d - (a * a) / e, which one einsum pass forms with no temporary
+    the shape of `a`. That complement is singular along the potentials'
+    translation and its right-hand side sums to zero to rounding, so the
+    iteration never moves along it; `_newton_step` shifts the direction
+    onto its pin. Any other singular complement is a failed step, with a
+    NaN (x, y): one whose Jacobi diagonal has an entry within the rounding
+    bound len(e) eps d of its own sum, or one the factorization rejects.
+    `exact` is False when conjugate gradients stopped short of
     `CG_TOLERANCE`."""
     rhs = a @ (h / e) - g
-    if len(d) >= CG_MIN_ORDER:
-        inv_e = 1.0 / e
-        jacobi = d - np.einsum("ij,ij,j->i", a, a, inv_e)
-        x, exact = np.nan * rhs, True  # singular unless jacobi is positive
-        if (jacobi > len(e) * np.finfo(float).eps * d).all():
-            x, exact = _conjugate_gradients(a, d, inv_e, rhs, jacobi)
-    else:
+    if factorize:
         w = a / np.sqrt(e)
         s = w @ w.T
         np.negative(s, out=s)
@@ -264,6 +277,12 @@ def _schur_solve(a, d, e, g, h):
             x, exact = np.linalg.solve(s, rhs), True
         except np.linalg.LinAlgError:  # singular
             x, exact = np.nan * rhs, True
+    else:
+        inv_e = 1.0 / e
+        jacobi = d - np.einsum("ij,ij,j->i", a, a, inv_e)
+        x, exact = np.nan * rhs, True  # singular unless jacobi is positive
+        if (jacobi > len(e) * np.finfo(float).eps * d).all():
+            x, exact = _conjugate_gradients(a, d, inv_e, rhs, jacobi)
     return x, (-h - a.T @ x) / e, exact
 
 
@@ -271,9 +290,12 @@ def _conjugate_gradients(a, d, inv_e, rhs, jacobi):
     """(x, exact): conjugate gradients on
     (diag(d) - a diag(inv_e) a^T) x = rhs from x = 0, preconditioned by the
     positive diagonal `jacobi`, each product two matrix-vector products with
-    `a`. Stops at a residual of `CG_TOLERANCE` times |rhs| (`exact` True),
-    or short of it (`exact` False) after `CG_MAX_ITERATIONS` iterations or
-    on a direction of non-positive curvature, returning the last iterate."""
+    `a`. The operator may be singular along the potentials' translation,
+    the ones vector, if `rhs` sums to zero: every residual then does too,
+    and the iterate converges to one of the solutions. Stops at a residual
+    of `CG_TOLERANCE` times |rhs| (`exact` True), or short of it (`exact`
+    False) after `CG_MAX_ITERATIONS` iterations or on a direction of
+    non-positive curvature, returning the last iterate."""
     stop = CG_TOLERANCE * np.linalg.norm(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()

@@ -189,6 +189,10 @@ def train(corpus: PairedCorpus, config: TrainConfig,
     `stop_after` halts after that many total iterations without altering
     the learning-rate schedule, yielding a mid-run checkpoint that a later
     resumed call continues bit-exactly.
+
+    Non-finite numbers in a step's codes or loss, or in any tensor of the
+    checkpoint after the last step this call runs, are a `NumericalAbort`
+    naming the step and its batch.
     """
     if corpus.n_samples == 0:
         raise UsageError("corpus is empty")
@@ -254,7 +258,8 @@ def train(corpus: PairedCorpus, config: TrainConfig,
             frozen = iteration < freeze_iters
             if lr != 0.0:  # zero step size leaves every tensor bit-identical
                 # an update that overflows shows in the metric's scores
-                # below, in the next step's, or in save_checkpoint
+                # below, in the next step's, or, at the last step, in the
+                # finiteness check of the tensors that the run returns
                 with np.errstate(over="ignore", invalid="ignore"):
                     for name, p in params.items():
                         if frozen and name == "prototypes":
@@ -265,6 +270,8 @@ def train(corpus: PairedCorpus, config: TrainConfig,
                         p.data -= lr * v
                     if not frozen:
                         renormalize_prototypes(params["prototypes"])
+            if iteration == stop_at - 1:
+                _check_finite(_tensors(ckpt))
 
             code_ent = _code_usage_entropy(z1.data, z2.data,
                                            params["prototypes"].data,
@@ -335,13 +342,18 @@ def _tensors(ckpt: Checkpoint) -> list[tuple[str, np.ndarray]]:
     return tensors + [("state", state)]
 
 
+def _check_finite(tensors):
+    """A named array holding NaN or Inf is a `NumericalError` naming it."""
+    for name, arr in tensors:
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"tensor {name} holds NaN or Inf")
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     """Write `ckpt`; a tensor holding NaN or Inf, which `load_checkpoint`
     would refuse, is a `NumericalError`, and no file is opened."""
     tensors = _tensors(ckpt)
-    for name, arr in tensors:
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"tensor {name} holds NaN or Inf")
+    _check_finite(tensors)
     cfg_text = config_to_text(ckpt.config).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)

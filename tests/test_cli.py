@@ -486,8 +486,8 @@ class TestExitCodes:
          "probe --ckpt {tmp}/v6.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: unsupported checkpoint version 6 at offset 4"),
         # an SGD update that overflows: caught by the next step's scores,
-        # by the code-usage metric's, or, after the last step, by
-        # save_checkpoint, which writes no file
+        # by the code-usage metric's, or, at the last step, by the
+        # finiteness check of the tensors that training returns
         ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 2 "
              "--k 4 --embed-dim 6 --hidden-dims 8 --lr 1e308",
          EXIT_NUMERIC, "numerical error: scores contain NaN or Inf at "
@@ -496,7 +496,7 @@ class TestExitCodes:
              "--batch-size 200 --k 4 --embed-dim 6 --hidden-dims 8 "
              "--lr 1e308",
          EXIT_NUMERIC, "numerical error: tensor param.adapter1.b holds NaN "
-                       "or Inf\n"),
+                       "or Inf at iteration 0, batch indices ["),
         ({"train.cfg": "prototype_freeze_iterations=0\n"},
          "pretrain --data {corpus} --out {tmp}/x.ckpt --config {tmp}/train.cfg "
          "--k 4 --embed-dim 6 --hidden-dims 8 --lr 1e308",

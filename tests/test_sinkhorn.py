@@ -233,8 +233,8 @@ def factorized(monkeypatch):
 
 class TestNewtonStep:
     # K < B, K > B, and both sides of the branch boundary K = B-1 | K = B;
-    # the last two have Schur complements of order CG_MIN_ORDER, which
-    # conjugate gradients solve here to a relative residual of 1e-6
+    # the last two have min(K, B-1) = CG_MIN_ORDER, so conjugate gradients
+    # solve them, here to a relative residual of 1e-6
     @pytest.mark.parametrize("k,b", [(6, 40), (40, 6), (9, 9), (8, 9),
                                      (CG_MIN_ORDER, CG_MIN_ORDER + 88),
                                      (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1)])
@@ -338,6 +338,30 @@ class TestNewtonStep:
         assert ((shipped.newton_steps, shipped.backtracks)
                 == (tight.newton_steps, tight.backtracks))
         assert max(shipped.marginal_deviation()) < 1e-8
+
+    @pytest.mark.parametrize("k,b", [(CG_MIN_ORDER, CG_MIN_ORDER + 88),
+                                     (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1)])
+    def test_conjugate_gradients_solve_the_unpinned_complement(
+            self, k, b, monkeypatch):
+        """Conjugate gradients get the whole Schur complement, over all B
+        columns: its operator annihilates the potentials' translation, the
+        ones vector, and its right-hand side sums to the difference of the
+        row and column mass, zero to rounding."""
+        systems, conjugate_gradients = [], sinkhorn._conjugate_gradients
+
+        def recorded(a, d, inv_e, rhs, jacobi):
+            # `a` is a view of the kernel, which the line search overwrites
+            translation = d - a @ ((a.T @ np.ones(len(d))) * inv_e)
+            systems.append((np.abs(translation).max() / np.abs(d).max(),
+                            abs(rhs.sum()) / d.sum()))
+            return conjugate_gradients(a, d, inv_e, rhs, jacobi)
+
+        monkeypatch.setattr(sinkhorn, "_conjugate_gradients", recorded)
+        scores = clustered_scores(np.random.default_rng(1), k, b)
+        assert compute_codes(scores, converged_config(EPS)).converged
+        assert systems
+        for translation, rhs_sum in systems:
+            assert translation <= 1e-12 and rhs_sum <= 1e-13
 
     def test_conjugate_gradients_stop_on_non_positive_curvature(self):
         """An indefinite system: the first direction has curvature -1, so

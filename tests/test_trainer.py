@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,21 @@ class TestTrain:
         assert len(err.value.batch_indices) == 8
         assert str(err.value).startswith(
             "scores contain NaN or Inf at iteration 0, batch indices [")
+
+    @pytest.mark.parametrize("kw, stop_after", [
+        (dict(epochs=1, batch_size=48), None), ({}, 1)],
+        ids=["last-step-of-run", "stop-after"])
+    def test_overflowing_last_update_aborts(self, kw, stop_after):
+        """An update that overflows at the last step this call runs has no
+        next step to catch it: the tensors returned are checked, and the
+        abort names the first non-finite one."""
+        cfg = tiny_config(base_lr=1e308, **kw)
+        with pytest.raises(NumericalAbort) as err:
+            train(tiny_corpus(), cfg, stop_after=stop_after)
+        assert err.value.iteration == 0
+        assert len(err.value.batch_indices) == cfg.batch_size
+        assert re.match(r"tensor param\.\S+ holds NaN or Inf at iteration 0,"
+                        r" batch indices \[", str(err.value))
 
     def test_empty_corpus_rejected(self):
         from mmproto.data import PairedCorpus
