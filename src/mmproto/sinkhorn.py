@@ -47,10 +47,9 @@ MAX_BACKTRACKS = 40
 CG_MIN_ORDER = 512
 #: relative residual |S x - rhs| / |rhs| at which conjugate gradients stop:
 #: a tenth of the loosest value that kept 1e-6's Newton steps and rejected
-#: trials on every problem of a measured grid, placed when the iteration
-#: solved the pinned complement, on which 1e-3 cost one problem a step (on
-#: the whole complement 1e-3 keeps them all and 1e-2 costs one)
-CG_TOLERANCE = 1e-5
+#: trials on every problem of a measured 26-problem grid of the whole
+#: complement, 1e-3 (1e-2 cost one problem a step)
+CG_TOLERANCE = 1e-4
 #: conjugate-gradient iterations after which a solve stops short
 CG_MAX_ITERATIONS = 1000
 
@@ -67,14 +66,15 @@ class CodeMatrix:
     A converged-mode solve also reports its final prototype potentials `u`
     (log row scalings, length K), which can start a later solve, the Newton
     steps it took, whether its marginal residual reached `TOLERANCE`, and
-    its fallbacks: line-search trials rejected (`backtracks`), sweeps taken
-    in place of a Newton step whose direction was not finite (a singular
-    Schur system, or an overflow) or whose `MAX_BACKTRACKS` trials all failed
-    (`fallback_sweeps`), and Newton steps whose conjugate gradients stopped
-    short of `CG_TOLERANCE` (`inexact_steps`). `residual` is its final
-    marginal residual. Fixed sweeps and the single-row or single-column
-    closed form carry no potentials, count nothing and report a NaN
-    residual; fixed-sweep codes report `converged` False.
+    its fallbacks: line-search trials rejected, whether by the screen of the
+    conjugate-gradient path or on their formed kernel (`backtracks`), sweeps
+    taken in place of a Newton step whose direction was not finite (a
+    singular Schur system, or an overflow) or whose `MAX_BACKTRACKS` trials
+    all failed (`fallback_sweeps`), and Newton steps whose conjugate
+    gradients stopped short of `CG_TOLERANCE` (`inexact_steps`). `residual`
+    is its final marginal residual. Fixed sweeps and the single-row or
+    single-column closed form carry no potentials, count nothing and report
+    a NaN residual; fixed-sweep codes report `converged` False.
     """
 
     q: np.ndarray
@@ -160,9 +160,17 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
     column half-sweep (Thornton & Cuturi, arXiv:2206.07630).
 
     Besides `log_kernel` the solve holds one K x B array, allocated once:
-    `m`, the current kernel (and each line-search trial, which nothing
-    reads after a rejection). The sweeps use it as their scratch, since
-    `kernel(u, v)` overwrites it right after each of them."""
+    `m`, the current kernel (and each formed line-search trial, which
+    nothing reads after a rejection). The sweeps use it as their scratch,
+    since `kernel(u, v)` overwrites it right after each of them. Where
+    `_newton_step` runs conjugate gradients (min(K, B-1) from
+    `CG_MIN_ORDER` up), `_screen` first scores each trial from `m` with two
+    matrix-vector products, and `m` holds only the kernels of trials that
+    pass it: a trial whose screened residual does not lower the current
+    one is rejected unformed, and one formed but rejected is overwritten by
+    `kernel(u, v)` before the next screen. Each accepted iterate is formed
+    as without the screen, so it keeps its bits; below the threshold a
+    screen costs about what a kernel does, and every trial is formed."""
     k, b = log_kernel.shape
     log_r, log_c = -np.log(k), -np.log(b)
     r, c = 1.0 / k, 1.0 / b
@@ -190,6 +198,7 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
     v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
 
     row, col, residual = kernel(u, v)
+    screened = min(k, b - 1) >= CG_MIN_ORDER  # conjugate-gradient steps
     steps = backtracks = fallback_sweeps = inexact_steps = 0
     while not residual < TOLERANCE and steps < MAX_NEWTON_STEPS:
         steps += 1
@@ -199,13 +208,18 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
         finite = np.isfinite(du).all() and np.isfinite(dv).all()
         t = 1.0
         for _ in range(MAX_BACKTRACKS if finite else 0):  # on the residual
-            ut, vt = u + t * du, v + t * dv
-            rowt, colt, trial = kernel(ut, vt)
-            if trial < residual:
-                # m holds the next iterate's kernel; a rejected trial is
-                # overwritten by the next trial or by the fallback sweep
-                u, v, row, col, residual = ut, vt, rowt, colt, trial
-                break
+            su, sv = t * du, t * dv
+            ut, vt = u + su, v + sv
+            if not screened or _screen(m, su, sv, r, c)[2] < residual:
+                rowt, colt, trial = kernel(ut, vt)
+                if trial < residual:
+                    # m holds the next iterate's kernel; unscreened, a
+                    # rejected trial is overwritten by the next trial or by
+                    # the fallback sweep
+                    u, v, row, col, residual = ut, vt, rowt, colt, trial
+                    break
+                if screened:  # the next screen scales the current kernel
+                    kernel(u, v)
             backtracks += 1
             t *= 0.5
         else:
@@ -214,6 +228,16 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
             row, col, residual = kernel(u, v)
     return CodeMatrix(m, u, steps, bool(residual < TOLERANCE), backtracks,
                       fallback_sweeps, inexact_steps, float(residual))
+
+
+def _screen(m, du, dv, r, c):
+    """(rows, cols, residual): the marginals of the trial kernel
+    diag(e^du) m diag(e^dv) and their max-norm residual against r and c,
+    from two matrix-vector products with `m` and no K x B array. A scaling
+    that overflows gives an infinite (or NaN) residual."""
+    eu, ev = np.exp(du), np.exp(dv)
+    rows, cols = eu * (m @ ev), ev * (eu @ m)
+    return rows, cols, max(np.abs(rows - r).max(), np.abs(cols - c).max())
 
 
 def _newton_step(m, row, col, g_u, g_v):
