@@ -39,10 +39,10 @@ TOLERANCE = 1e-8
 MAX_NEWTON_STEPS = 1000
 #: line-search trials, each halving the step, before a fallback sweep
 MAX_BACKTRACKS = 40
-#: Newton systems with min(K, B-1) at least this are solved by conjugate
+#: Newton systems with min(K, B) at least this are solved by conjugate
 #: gradients, smaller ones by a dense factorization. At this order the
-#: conjugate-gradient step is already the cheaper: 2.3-2.7 ms against
-#: 7.4-8.0 ms per Newton step on clustered 512 x 600 and 600 x 513
+#: conjugate-gradient step is already the cheaper: 2.2-4.0 ms against
+#: 8.6-9.4 ms per Newton step on clustered 512 x 600 and 600 x 512
 #: problems (2-core VM, OpenBLAS)
 CG_MIN_ORDER = 512
 #: relative residual |S x - rhs| / |rhs| at which conjugate gradients stop:
@@ -163,8 +163,8 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
     `m`, the current kernel (and each formed line-search trial, which
     nothing reads after a rejection). The sweeps use it as their scratch,
     since `kernel(u, v)` overwrites it right after each of them. Where
-    `_newton_step` runs conjugate gradients (min(K, B-1) from
-    `CG_MIN_ORDER` up), `_screen` first scores each trial from `m` with two
+    `_newton_step` runs conjugate gradients (min(K, B) from `CG_MIN_ORDER`
+    up), `_screen` first scores each trial from `m` with two
     matrix-vector products, and `m` holds only the kernels of trials that
     pass it: a trial whose screened residual does not lower the current
     one is rejected unformed, and one formed but rejected is overwritten by
@@ -198,11 +198,11 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
     v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
 
     row, col, residual = kernel(u, v)
-    screened = min(k, b - 1) >= CG_MIN_ORDER  # conjugate-gradient steps
+    screened = min(k, b) >= CG_MIN_ORDER  # conjugate-gradient steps
     steps = backtracks = fallback_sweeps = inexact_steps = 0
     while not residual < TOLERANCE and steps < MAX_NEWTON_STEPS:
         steps += 1
-        du, dv, exact = _newton_step(m, row, col, row - r, (col - c)[:-1])
+        du, dv, exact = _newton_step(m, row, col, row - r, col - c)
         inexact_steps += not exact
 
         finite = np.isfinite(du).all() and np.isfinite(dv).all()
@@ -242,61 +242,56 @@ def _screen(m, du, dv, r, c):
 
 def _newton_step(m, row, col, g_u, g_v):
     """Newton step (du, dv) on the potentials for the system
-    [[diag(row), M], [M^T, diag(col)]] (du, dv) = -(g_u, g_v, g_last),
-    where `g_v` leaves out the last column's residual g_last. The system is
+    [[diag(row), M], [M^T, diag(col)]] (du, dv) = -(g_u, g_v). The system is
     singular along the potentials' translation (u + t, v - t), on which the
     plan does not depend; the step returned is pinned to dv[-1] = 0.
 
     Both diagonal blocks are diagonal, so the larger one is eliminated and
     only a Schur complement is solved (Brauer, Clason, Lorenz & Wirth,
     arXiv:1710.06635): a diagonal minus a Gram product of M scaled by the
-    eliminated block's inverse. Below `CG_MIN_ORDER` of min(K, B-1) the pin
-    shapes the elimination: M and col drop the last column, which leaves a
-    nonsingular complement of order min(K, B-1) to factorize. From it up,
-    conjugate gradients solve the whole complement against all B columns,
-    of order K, or B when K > B-1, which is singular only along the
-    translation; their direction is shifted onto the pin afterwards.
-    Returns (du, dv, exact) as `_schur_solve`.
+    eliminated block's inverse, of order min(K, B). It is singular along
+    the translation too; the direction `_schur_solve` finds is shifted onto
+    the pin. Returns (du, dv, exact) as `_schur_solve`.
     """
     k, b = m.shape
-    factorize = min(k, b - 1) < CG_MIN_ORDER
-    if factorize:
-        m, col = m[:, :-1], col[:-1]
+    if k <= b:
+        du, dv, exact = _schur_solve(m, row, col, g_u, g_v)
     else:
-        g_v = np.append(g_v, col[-1] - 1.0 / b)  # g_last: marginal 1/B
-    if k <= b - 1:
-        du, dv, exact = _schur_solve(m, row, col, g_u, g_v, factorize)
-    else:
-        dv, du, exact = _schur_solve(m.T, col, row, g_v, g_u, factorize)
-    if factorize:
-        return du, np.append(dv, 0.0), exact
+        dv, du, exact = _schur_solve(m.T, col, row, g_v, g_u)
     return du + dv[-1], dv - dv[-1], exact
 
 
-def _schur_solve(a, d, e, g, h, factorize):
+def _schur_solve(a, d, e, g, h):
     """(x, y, exact) solving [[diag(d), a], [a^T, diag(e)]] (x, y) = -(g, h)
-    by eliminating y: (diag(d) - a diag(1/e) a^T) x = a (h / e) - g.
+    by eliminating y: (diag(d) - a diag(1/e) a^T) x = a (h / e) - g, where
+    d and e are the row and column sums of `a`. So the complement annihilates
+    the ones vector, the potentials' translation, and its right-hand side
+    sums to zero to rounding.
 
-    With `factorize` the complement is formed and factorized: the Gram
-    product W W^T of the scaled copy W = a diag(e)^(-1/2), made per step,
-    is one buffer times its own transpose, which numpy hands to BLAS syrk
-    (one triangle, about half the work of a general product). Otherwise
-    conjugate gradients solve it without forming it, preconditioned by its
-    diagonal d - (a * a) / e, which one einsum pass forms with no temporary
-    the shape of `a`. That complement is singular along the potentials'
-    translation and its right-hand side sums to zero to rounding, so the
-    iteration never moves along it; `_newton_step` shifts the direction
-    onto its pin. Any other singular complement is a failed step, with a
-    NaN (x, y): one whose Jacobi diagonal has an entry within the rounding
-    bound len(e) eps d of its own sum, or one the factorization rejects.
-    `exact` is False when conjugate gradients stopped short of
-    `CG_TOLERANCE`."""
+    Of an order n = len(d) below `CG_MIN_ORDER` it is formed and factorized:
+    the Gram product W W^T of the scaled copy W = a diag(e)^(-1/2), made per
+    step, is one buffer times its own transpose, which numpy hands to BLAS
+    syrk (one triangle, about half the work of a general product). Adding
+    1 1^T / n^2 gives the ones vector the eigenvalue 1/n in place of 0 and
+    changes no other, so the sum's solution is the singular system's with
+    no translation component. A regularized system,
+    whose raised diagonal is nonsingular already, must not add it: there
+    the ones vector is no null vector, and the term would move the
+    solution. From `CG_MIN_ORDER` up conjugate gradients solve the
+    complement without forming it, preconditioned by its diagonal
+    d - (a * a) / e, which one einsum pass forms with no temporary the
+    shape of `a`; the iteration never moves along the ones vector. Any
+    other singular complement is a failed step, with a NaN (x, y): one
+    whose Jacobi diagonal has an entry within the rounding bound
+    len(e) eps d of its own sum, or one the factorization rejects. `exact`
+    is False when conjugate gradients stopped short of `CG_TOLERANCE`."""
     rhs = a @ (h / e) - g
-    if factorize:
+    if len(d) < CG_MIN_ORDER:
         w = a / np.sqrt(e)
         s = w @ w.T
         np.negative(s, out=s)
         s.flat[::len(d) + 1] += d
+        s += 1.0 / len(d) ** 2
         try:
             x, exact = np.linalg.solve(s, rhs), True
         except np.linalg.LinAlgError:  # singular

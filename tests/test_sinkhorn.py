@@ -232,10 +232,10 @@ def factorized(monkeypatch):
 
 
 class TestNewtonStep:
-    # K < B, K > B, and both sides of the branch boundary K = B-1 | K = B;
-    # the last two have min(K, B-1) = CG_MIN_ORDER, so conjugate gradients
+    # K < B, K > B, and both sides of the branch boundary K = B | K = B+1;
+    # the last two have min(K, B) >= CG_MIN_ORDER, so conjugate gradients
     # solve them, here to a relative residual of 1e-6
-    @pytest.mark.parametrize("k,b", [(6, 40), (40, 6), (9, 9), (8, 9),
+    @pytest.mark.parametrize("k,b", [(6, 40), (40, 6), (9, 9), (10, 9),
                                      (CG_MIN_ORDER, CG_MIN_ORDER + 88),
                                      (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1)])
     @pytest.mark.parametrize("epsilon", [1.0, EPS])
@@ -245,24 +245,24 @@ class TestNewtonStep:
         m = np.exp(random_scores(rng, k, b) / epsilon)
         m /= m.sum()
         row, col = m.sum(axis=1), m.sum(axis=0)
-        g_u, g_v = row - 1.0 / k, (col - 1.0 / b)[:-1]
+        g_u, g_v = row - 1.0 / k, col - 1.0 / b
         du, dv, exact = sinkhorn._newton_step(m, row, col, g_u, g_v)
-        ref_u, ref_v = dense_newton_step(m, row, col, g_u, g_v)
+        ref_u, ref_v = dense_newton_step(m, row, col, g_u, g_v[:-1])
         step, ref = np.concatenate([du, dv]), np.concatenate([ref_u, ref_v])
-        tol = 1e-6 if min(k, b - 1) >= CG_MIN_ORDER else 1e-10
+        tol = 1e-6 if min(k, b) >= CG_MIN_ORDER else 1e-10
         assert dv[-1] == 0.0 and exact
         assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("k,b", [(40, 6), (16, 16), (300, 32)])
     def test_factorizes_the_smaller_schur_complement(self, k, b, factorized):
         """Eliminating the larger diagonal block leaves a system of order
-        min(K, B-1): 5, 15 and 31 here. Always eliminating the column block
+        min(K, B): 6, 16 and 32 here. Always eliminating the column block
         would factorize orders 40, 16 and 300, which at 300 x 32 more than
         doubles the solve's peak memory."""
         scores = random_scores(np.random.default_rng(k * 100 + b), k, b)
         codes = compute_codes(scores, converged_config(EPS))
         assert codes.converged and codes.newton_steps > 0
-        assert factorized == [min(k, b - 1)] * codes.newton_steps
+        assert factorized == [min(k, b)] * codes.newton_steps
 
     @pytest.mark.parametrize("k,b", [(CG_MIN_ORDER + 88, CG_MIN_ORDER + 1),
                                      (CG_MIN_ORDER, CG_MIN_ORDER + 88)])
@@ -276,7 +276,7 @@ class TestNewtonStep:
         m /= m.sum()
         row, col = m.sum(axis=1), m.sum(axis=0)
         du, dv, exact = sinkhorn._newton_step(
-            m, row, col, row - 1.0 / k, (col - 1.0 / b)[:-1])
+            m, row, col, row - 1.0 / k, col - 1.0 / b)
         assert factorized == [] and exact
         assert not (np.isfinite(du).all() and np.isfinite(dv).all())
 
@@ -296,7 +296,7 @@ class TestNewtonStep:
             return newton_step(*args)
 
         monkeypatch.setattr(sinkhorn, "_newton_step", counted)
-        cg = min(k, b - 1) >= CG_MIN_ORDER
+        cg = min(k, b) >= CG_MIN_ORDER
         make = clustered_scores if cg else random_scores
         scores = make(np.random.default_rng(5), k, b)
         tracemalloc.start()
@@ -315,16 +315,19 @@ class TestNewtonStep:
 
     @pytest.mark.parametrize("order", [CG_MIN_ORDER - 1, CG_MIN_ORDER])
     def test_both_sides_of_the_order_threshold(self, order, factorized):
-        """A factorization solves each Newton system below CG_MIN_ORDER and
-        none from it up; both meet the marginals."""
-        scores = clustered_scores(np.random.default_rng(order), order,
-                                  order + 89)
-        codes = compute_codes(scores, converged_config(EPS))
-        assert codes.converged and codes.newton_steps > 0
-        assert codes.inexact_steps == 0
-        assert max(codes.marginal_deviation()) < 1e-8
-        expected = codes.newton_steps if order < CG_MIN_ORDER else 0
-        assert factorized == [order] * expected
+        """A factorization solves each Newton system of order min(K, B)
+        below CG_MIN_ORDER and none from it up, with K < B and with K > B;
+        both meet the marginals."""
+        rng = np.random.default_rng(order)
+        for k, b in [(order, order + 89), (order + 89, order)]:
+            factorized.clear()
+            codes = compute_codes(clustered_scores(rng, k, b),
+                                  converged_config(EPS))
+            assert codes.converged and codes.newton_steps > 0
+            assert codes.inexact_steps == 0
+            assert max(codes.marginal_deviation()) < 1e-8
+            expected = codes.newton_steps if order < CG_MIN_ORDER else 0
+            assert factorized == [order] * expected, (k, b)
 
     @pytest.mark.parametrize("k,b", [(CG_MIN_ORDER, CG_MIN_ORDER + 88),
                                      (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1)])
