@@ -159,6 +159,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_pretrain(args) -> int:
+    for flag, path in (("--out", args.out), ("--metrics", args.metrics)):
+        # checked before the run, which could not save its results
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(
+                f"{flag} {path}: no directory {Path(path).parent}")
     corpus = load_corpus(args.data)
     # the corpus widths are the defaults, which --config and flags override
     config, overrides = _flags_to_config(args, TrainConfig(
@@ -223,11 +228,21 @@ def _cmd_probe(args) -> int:
 def _cmd_codes(args) -> int:
     config = SinkhornConfig(args.epsilon, args.iters)
     try:
+        lines = Path(args.scores).read_text().splitlines()
+        # (line number, columns) of each line that holds scores
+        widths = [(number, data.count(",") + 1)
+                  for number, line in enumerate(lines, 1)
+                  if (data := line.partition("#")[0]).strip()]
+        for number, width in widths:
+            if width != widths[0][1]:
+                raise FormatError(f"{args.scores}: line {number} has "
+                                  f"{width} column(s), line {widths[0][0]} "
+                                  f"has {widths[0][1]}")
         with warnings.catch_warnings():
             # an empty file is reported as a FormatError below
             warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            scores = np.loadtxt(args.scores, delimiter=",", ndmin=2)
-    except ValueError as exc:
+            scores = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:  # also a file that is not text
         raise FormatError(f"{args.scores}: {exc}") from None
     if scores.size == 0:
         raise FormatError(f"{args.scores}: no scores")

@@ -39,9 +39,10 @@ TOLERANCE = 1e-8
 MAX_NEWTON_STEPS = 1000
 #: line-search trials, each halving the step, before a fallback sweep
 MAX_BACKTRACKS = 40
-#: Newton systems with min(K, B) at least this are solved by conjugate
-#: gradients, smaller ones by a dense factorization. At this order the
-#: conjugate-gradient step is already the cheaper: 2.2-4.0 ms against
+#: the one choice between solvers: `_schur_solve` solves Newton systems
+#: with min(K, B) at least this by conjugate gradients, smaller ones by a
+#: dense factorization; the line search is the same for both. At this order
+#: the conjugate-gradient step is already the cheaper: 2.2-4.0 ms against
 #: 8.6-9.4 ms per Newton step on clustered 512 x 600 and 600 x 512
 #: problems (2-core VM, OpenBLAS)
 CG_MIN_ORDER = 512
@@ -66,15 +67,15 @@ class CodeMatrix:
     A converged-mode solve also reports its final prototype potentials `u`
     (log row scalings, length K), which can start a later solve, the Newton
     steps it took, whether its marginal residual reached `TOLERANCE`, and
-    its fallbacks: line-search trials rejected, whether by the screen of the
-    conjugate-gradient path or on their formed kernel (`backtracks`), sweeps
-    taken in place of a Newton step whose direction was not finite (a
-    singular Schur system, or an overflow) or whose `MAX_BACKTRACKS` trials
-    all failed (`fallback_sweeps`), and Newton steps whose conjugate
-    gradients stopped short of `CG_TOLERANCE` (`inexact_steps`). `residual`
-    is its final marginal residual. Fixed sweeps and the single-row or
-    single-column closed form carry no potentials, count nothing and report
-    a NaN residual; fixed-sweep codes report `converged` False.
+    its fallbacks: line-search trials whose screened residual did not lower
+    the current one (`backtracks`), sweeps taken in place of a Newton step
+    whose direction was not finite (a singular Schur system, or an
+    overflow) or whose `MAX_BACKTRACKS` trials all failed
+    (`fallback_sweeps`), and Newton steps whose conjugate gradients stopped
+    short of `CG_TOLERANCE` (`inexact_steps`). `residual` is its final
+    marginal residual. Fixed sweeps and the single-row or single-column
+    closed form carry no potentials, count nothing and report a NaN
+    residual; fixed-sweep codes report `converged` False.
     """
 
     q: np.ndarray
@@ -160,17 +161,11 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
     column half-sweep (Thornton & Cuturi, arXiv:2206.07630).
 
     Besides `log_kernel` the solve holds one K x B array, allocated once:
-    `m`, the current kernel (and each formed line-search trial, which
-    nothing reads after a rejection). The sweeps use it as their scratch,
-    since `kernel(u, v)` overwrites it right after each of them. Where
-    `_newton_step` runs conjugate gradients (min(K, B) from `CG_MIN_ORDER`
-    up), `_screen` first scores each trial from `m` with two
-    matrix-vector products, and `m` holds only the kernels of trials that
-    pass it: a trial whose screened residual does not lower the current
-    one is rejected unformed, and one formed but rejected is overwritten by
-    `kernel(u, v)` before the next screen. Each accepted iterate is formed
-    as without the screen, so it keeps its bits; below the threshold a
-    screen costs about what a kernel does, and every trial is formed."""
+    `m`, the current kernel, which the sweeps use as their scratch. Each
+    line-search trial is scored by `_screen` from `m` with two
+    matrix-vector products and is never formed: one that lowers the
+    residual is accepted by scaling `m` in place. The kernel is formed from
+    the potentials only at entry and after a fallback sweep."""
     k, b = log_kernel.shape
     log_r, log_c = -np.log(k), -np.log(b)
     r, c = 1.0 / k, 1.0 / b
@@ -186,19 +181,16 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
         return u, column_sweep(u)
 
     def kernel(u, v):
-        """exp(log_kernel + u + v) into m, with its row sums, column sums and
-        max-norm marginal residual. A trial that overflows has an infinite
-        (or NaN) residual, which `trial < residual` rejects."""
+        """exp(log_kernel + u + v) into m, with its marginals and residual
+        computed as `_screen` computes a trial's, so that a trial which
+        does not move the kernel cannot lower the residual by rounding."""
         np.add(np.add(log_kernel, u[:, None], out=m), v[None, :], out=m)
-        np.exp(m, out=m)
-        row, col = m.sum(axis=1), m.sum(axis=0)
-        return row, col, max(np.abs(row - r).max(), np.abs(col - c).max())
+        return _screen(np.exp(m, out=m), np.ones(k), np.ones(b), r, c)
 
     u = np.zeros(k) if start is None else start - start.mean()
     v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
 
     row, col, residual = kernel(u, v)
-    screened = min(k, b) >= CG_MIN_ORDER  # conjugate-gradient steps
     steps = backtracks = fallback_sweeps = inexact_steps = 0
     while not residual < TOLERANCE and steps < MAX_NEWTON_STEPS:
         steps += 1
@@ -208,18 +200,14 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
         finite = np.isfinite(du).all() and np.isfinite(dv).all()
         t = 1.0
         for _ in range(MAX_BACKTRACKS if finite else 0):  # on the residual
-            su, sv = t * du, t * dv
-            ut, vt = u + su, v + sv
-            if not screened or _screen(m, su, sv, r, c)[2] < residual:
-                rowt, colt, trial = kernel(ut, vt)
-                if trial < residual:
-                    # m holds the next iterate's kernel; unscreened, a
-                    # rejected trial is overwritten by the next trial or by
-                    # the fallback sweep
-                    u, v, row, col, residual = ut, vt, rowt, colt, trial
-                    break
-                if screened:  # the next screen scales the current kernel
-                    kernel(u, v)
+            eu, ev = np.exp(t * du), np.exp(t * dv)
+            rowt, colt, trial = _screen(m, eu, ev, r, c)
+            if trial < residual:
+                m *= eu[:, None]
+                m *= ev
+                u, v = u + t * du, v + t * dv
+                row, col, residual = rowt, colt, trial
+                break
             backtracks += 1
             t *= 0.5
         else:
@@ -230,12 +218,12 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
                       fallback_sweeps, inexact_steps, float(residual))
 
 
-def _screen(m, du, dv, r, c):
-    """(rows, cols, residual): the marginals of the trial kernel
-    diag(e^du) m diag(e^dv) and their max-norm residual against r and c,
-    from two matrix-vector products with `m` and no K x B array. A scaling
-    that overflows gives an infinite (or NaN) residual."""
-    eu, ev = np.exp(du), np.exp(dv)
+def _screen(m, eu, ev, r, c):
+    """(rows, cols, residual): the marginals of the kernel
+    diag(eu) m diag(ev) and their max-norm residual against r and c, from
+    two matrix-vector products with `m` and no K x B array. A scaling that
+    overflows gives an infinite (or NaN) residual, which `trial < residual`
+    rejects."""
     rows, cols = eu * (m @ ev), ev * (eu @ m)
     return rows, cols, max(np.abs(rows - r).max(), np.abs(cols - c).max())
 

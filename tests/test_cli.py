@@ -293,8 +293,9 @@ class TestExitCodes:
          EXIT_USAGE, "usage error: config key epochs: bad value 'two'"),
         ({}, "probe --ckpt {ckpt} --data {tmp}/unlabeled.mmp --probe cluster",
          EXIT_USAGE, "usage error: corpus has no labels"),
-        ({"scores.csv": "1,2\n3\n"}, "codes --scores {tmp}/scores.csv",
-         EXIT_IO, "error: "),
+        ({"scores.csv": "1,2\n\n3\n"}, "codes --scores {tmp}/scores.csv",
+         EXIT_IO, "error: {tmp}/scores.csv: line 3 has 1 column(s), line 1 "
+                  "has 2"),
         ({"scores.csv": ""}, "codes --scores {tmp}/scores.csv",
          EXIT_IO, "error: "),
         ({"bad.ckpt": "MMCK\x02"},
@@ -502,6 +503,12 @@ class TestExitCodes:
          "--k 4 --embed-dim 6 --hidden-dims 8 --lr 1e308",
          EXIT_NUMERIC, "numerical error: scores contain NaN or Inf at "
                        "iteration 0, batch indices ["),
+        # a run that could not save its results fails before it trains
+        ({}, "pretrain --data {corpus} --out {tmp}/no/x.ckpt",
+         EXIT_IO, "error: --out {tmp}/no/x.ckpt: no directory {tmp}/no"),
+        ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt "
+             "--metrics {tmp}/no/x.jsonl",
+         EXIT_IO, "error: --metrics {tmp}/no/x.jsonl: no directory {tmp}/no"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -535,7 +542,7 @@ class TestExitCodes:
         argv = argv.format(tmp=tmp_path, corpus=corpus_file, ckpt=trained_ckpt)
         got, _, err = run(capsys, *argv.split())
         assert got == code
-        assert err.startswith(prefix), err
+        assert err.startswith(prefix.format(tmp=tmp_path)), err
         assert not list(tmp_path.glob("x.*")), "a failed command wrote output"
 
     @pytest.mark.filterwarnings("default::UserWarning")

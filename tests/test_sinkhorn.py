@@ -306,7 +306,7 @@ class TestNewtonStep:
         finally:
             tracemalloc.stop()
         assert steps, "the Newton path was not exercised"
-        if cg:  # the bound covers screened trials
+        if cg:  # the bound covers accepted and rejected trials
             assert codes.backtracks > 0
         assert max(codes.marginal_deviation()) < 1e-6
         bound = 2.5 if cg else 4.0
@@ -355,7 +355,7 @@ class TestNewtonStep:
         systems, conjugate_gradients = [], sinkhorn._conjugate_gradients
 
         def recorded(a, d, inv_e, rhs, jacobi):
-            # `a` is a view of the kernel, which the line search overwrites
+            # `a` is a view of the kernel, which the line search scales
             translation = d - a @ ((a.T @ np.ones(len(d))) * inv_e)
             systems.append((np.abs(translation).max() / np.abs(d).max(),
                             abs(rhs.sum()) / d.sum()))
@@ -395,58 +395,41 @@ class TestTrialScreen:
         du, dv = rng.normal(size=30), rng.normal(size=50)
         direct = np.exp(np.log(m) + du[:, None] + dv[None, :])
         r, c = 1.0 / 30, 1.0 / 50
-        rows, cols, residual = sinkhorn._screen(m, du, dv, r, c)
+        rows, cols, residual = sinkhorn._screen(m, np.exp(du), np.exp(dv),
+                                                r, c)
         np.testing.assert_allclose(rows, direct.sum(axis=1), rtol=1e-12)
         np.testing.assert_allclose(cols, direct.sum(axis=0), rtol=1e-12)
         assert residual == max(np.abs(rows - r).max(), np.abs(cols - c).max())
 
-    # clustered problems on both sides of the branch boundary, and a sharp
-    # one that takes 15 Newton steps and rejects 43 trials
-    @pytest.mark.parametrize("k,b,seed,epsilon", [
-        (CG_MIN_ORDER, CG_MIN_ORDER + 88, 1, EPS),
-        (CG_MIN_ORDER + 88, CG_MIN_ORDER + 1, 8, EPS),
-        (CG_MIN_ORDER + 88, CG_MIN_ORDER + 188, 5, 0.01)])
-    def test_screened_solve_equals_exact_trials(self, k, b, seed, epsilon,
-                                                monkeypatch):
-        """A screen that passes every trial forms each one's kernel, and
-        restores the current kernel after each rejection: every screen
-        still scales the current kernel, and the codes and every count
-        equal the screened solve's."""
+    # a dense-path solve, a conjugate-gradient one that takes 15 Newton
+    # steps and rejects 43 trials, and one whose every other Newton
+    # direction is not finite, so that sweeps re-form the kernel between
+    # accepted steps
+    @pytest.mark.parametrize("k,b,seed,epsilon,failing", [
+        (16, 288, 7, EPS, False),
+        (CG_MIN_ORDER + 88, CG_MIN_ORDER + 188, 5, 0.01, False),
+        (16, 288, 7, EPS, True)], ids=["dense", "cg", "sweeps"])
+    def test_accepted_trials_scale_the_kernel_without_drift(
+            self, k, b, seed, epsilon, failing, monkeypatch):
+        """Each accepted trial scales the kernel in place, which keeps q
+        diag(e^u) exp(scores / epsilon) diag(e^v) to rounding: log q minus
+        the scaled scores and u is one v_j down every column."""
+        newton_step, steps = sinkhorn._newton_step, []
+
+        def every_other_fails(m, row, col, g_u, g_v):
+            steps.append(1)
+            du, dv, exact = newton_step(m, row, col, g_u, g_v)
+            return (np.nan * du if len(steps) % 2 else du), dv, exact
+
+        if failing:
+            monkeypatch.setattr(sinkhorn, "_newton_step", every_other_fails)
         scores = clustered_scores(np.random.default_rng(seed), k, b)
-        screened = compute_codes(scores, converged_config(epsilon))
-        current, newton_step = [], sinkhorn._newton_step
-
-        def recorded(m, row, col, g_u, g_v):
-            current[:] = [row]
-            return newton_step(m, row, col, g_u, g_v)
-
-        def passed(m, du, dv, r, c):
-            assert m.sum(axis=1).tobytes() == current[0].tobytes()
-            return None, None, -np.inf
-
-        monkeypatch.setattr(sinkhorn, "_newton_step", recorded)
-        monkeypatch.setattr(sinkhorn, "_screen", passed)
-        exact = compute_codes(scores, converged_config(epsilon))
-        assert screened.converged and screened.backtracks > 0
-        assert screened.q.tobytes() == exact.q.tobytes()
-        assert screened.u.tobytes() == exact.u.tobytes()
-        assert ((screened.newton_steps, screened.backtracks,
-                 screened.fallback_sweeps)
-                == (exact.newton_steps, exact.backtracks,
-                    exact.fallback_sweeps))
-
-    def test_dense_path_never_screens(self, monkeypatch):
-        scores = clustered_scores(np.random.default_rng(7), 16, 288)
-        plain = compute_codes(scores, converged_config(EPS))
-
-        def refused(*args):
-            raise AssertionError("a trial was screened")
-
-        monkeypatch.setattr(sinkhorn, "_screen", refused)
-        codes = compute_codes(scores, converged_config(EPS))
-        assert codes.newton_steps > 0 and codes.backtracks > 0
-        assert codes.q.tobytes() == plain.q.tobytes()
-        assert codes.u.tobytes() == plain.u.tobytes()
+        codes = compute_codes(scores, converged_config(epsilon))
+        assert codes.converged and codes.backtracks > 0
+        assert (codes.fallback_sweeps > 0) == failing
+        assert codes.fallback_sweeps < codes.newton_steps
+        v = np.log(codes.q) - scores / epsilon - codes.u[:, None]
+        assert np.ptp(v, axis=0).max() < 1e-11
 
 
 class TestDiagnostics:
