@@ -16,8 +16,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .data import CorpusSpec, check_seed, generate, load_corpus, save_corpus
 from .errors import Error, FormatError, NumericalError, UsageError
@@ -225,27 +223,41 @@ def _cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _read_scores(path: str) -> list[list[float]]:
+    """The score rows of the CSV file `path`, read in one pass: '#' starts a
+    comment, and a line that holds no scores is skipped. A line that is not
+    UTF-8 text, has another column count than the first score line, or
+    holds a value that is not a number is a `FormatError` naming its
+    1-based file line; so is a file with no scores."""
+    rows, first = [], None
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            data = line.decode("utf-8").partition("#")[0]
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: line {number} is not UTF-8 "
+                              "text") from None
+        if not data.strip():
+            continue
+        values = data.split(",")
+        if rows and len(values) != len(rows[0]):
+            raise FormatError(f"{path}: line {number} has {len(values)} "
+                              f"column(s), line {first} has {len(rows[0])}")
+        first = first or number
+        rows.append([])
+        for column, value in enumerate(values, 1):
+            try:
+                rows[-1].append(float(value))
+            except ValueError:
+                raise FormatError(f"{path}: line {number}, column {column}: "
+                                  f"{value!r} is not a number") from None
+    if not rows:
+        raise FormatError(f"{path}: no scores")
+    return rows
+
+
 def _cmd_codes(args) -> int:
     config = SinkhornConfig(args.epsilon, args.iters)
-    try:
-        lines = Path(args.scores).read_text().splitlines()
-        # (line number, columns) of each line that holds scores
-        widths = [(number, data.count(",") + 1)
-                  for number, line in enumerate(lines, 1)
-                  if (data := line.partition("#")[0]).strip()]
-        for number, width in widths:
-            if width != widths[0][1]:
-                raise FormatError(f"{args.scores}: line {number} has "
-                                  f"{width} column(s), line {widths[0][0]} "
-                                  f"has {widths[0][1]}")
-        with warnings.catch_warnings():
-            # an empty file is reported as a FormatError below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            scores = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:  # also a file that is not text
-        raise FormatError(f"{args.scores}: {exc}") from None
-    if scores.size == 0:
-        raise FormatError(f"{args.scores}: no scores")
+    scores = _read_scores(args.scores)
     codes = compute_codes(scores, config)
     if config.n_iterations == 0 and not codes.converged:
         raise NumericalError(f"codes did not converge: {codes.newton_steps} "

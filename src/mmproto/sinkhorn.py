@@ -5,9 +5,10 @@ transportation polytope with uniform marginals: every row sums to 1/K,
 every column to 1/B, total mass 1, by scaling the rows and columns of
 exp(scores / epsilon); higher epsilon spreads mass, lower epsilon sharpens
 assignments. `SinkhornConfig.n_iterations` picks the solver: that many
-alternating row and column sweeps, or, at 0, the converged solve, damped
-Newton steps on the log-domain scaling potentials until the marginals are
-within `TOLERANCE`.
+alternating row and column sweeps, which end on a column sweep and so
+meet the row marginals only approximately, or, at 0, the converged solve,
+damped Newton steps on the log-domain scaling potentials until the
+marginals are within `TOLERANCE`.
 """
 from __future__ import annotations
 
@@ -146,12 +147,17 @@ def compute_codes(scores, config: SinkhornConfig,
     return CodeMatrix(q)
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    """log(sum(exp(a))) along `axis`, computed in place: overwrites `a`."""
-    m = a.max(axis=axis, keepdims=True)
-    a -= m
-    out = m + np.log(np.exp(a, out=a).sum(axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
+def _half_sweep(log_kernel, p, axis, target, m):
+    """Potentials that scale every line of exp(log_kernel + p) along
+    `axis` to sum to `target`, with `p` broadcast along the other axis,
+    and the scaled kernel in `m`. Each line's maximum is subtracted before
+    the one in-place exponentiation, so no line underflows to zero."""
+    np.add(log_kernel, np.expand_dims(p, 1 - axis), out=m)
+    top = m.max(axis=axis, keepdims=True)
+    m -= top
+    scale = target / np.exp(m, out=m).sum(axis=axis, keepdims=True)
+    m *= scale
+    return np.squeeze(np.log(scale) - top, axis=axis)
 
 
 def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
@@ -161,36 +167,20 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
     column half-sweep (Thornton & Cuturi, arXiv:2206.07630).
 
     Besides `log_kernel` the solve holds one K x B array, allocated once:
-    `m`, the current kernel, which the sweeps use as their scratch. Each
-    line-search trial is scored by `_screen` from `m` with two
-    matrix-vector products and is never formed: one that lowers the
-    residual is accepted by scaling `m` in place. The kernel is formed from
-    the potentials only at entry and after a fallback sweep."""
+    `m`, the current kernel. Each line-search trial is scored by `_screen`
+    from `m` with two matrix-vector products and is never formed: one that
+    lowers the residual is accepted by scaling `m` in place. The kernel is
+    formed from the potentials only by the half-sweeps, at entry and in a
+    fallback sweep. Its marginals and residual are then computed as
+    `_screen` computes a trial's, so that a trial which does not move the
+    kernel cannot lower the residual by rounding."""
     k, b = log_kernel.shape
-    log_r, log_c = -np.log(k), -np.log(b)
     r, c = 1.0 / k, 1.0 / b
     m = np.empty_like(log_kernel)
 
-    def column_sweep(u):
-        return log_c - _logsumexp(
-            np.add(log_kernel, u[:, None], out=m), axis=0)
-
-    def sweep(v):
-        u = log_r - _logsumexp(
-            np.add(log_kernel, v[None, :], out=m), axis=1)
-        return u, column_sweep(u)
-
-    def kernel(u, v):
-        """exp(log_kernel + u + v) into m, with its marginals and residual
-        computed as `_screen` computes a trial's, so that a trial which
-        does not move the kernel cannot lower the residual by rounding."""
-        np.add(np.add(log_kernel, u[:, None], out=m), v[None, :], out=m)
-        return _screen(np.exp(m, out=m), np.ones(k), np.ones(b), r, c)
-
     u = np.zeros(k) if start is None else start - start.mean()
-    v = column_sweep(u)  # every column sums to 1/B: exp() is bounded
-
-    row, col, residual = kernel(u, v)
+    v = _half_sweep(log_kernel, u, 0, c, m)
+    row, col, residual = _screen(m, np.ones(k), np.ones(b), r, c)
     steps = backtracks = fallback_sweeps = inexact_steps = 0
     while not residual < TOLERANCE and steps < MAX_NEWTON_STEPS:
         steps += 1
@@ -212,8 +202,9 @@ def _converged_solve(log_kernel: np.ndarray, start) -> CodeMatrix:
             t *= 0.5
         else:
             fallback_sweeps += 1
-            u, v = sweep(v)
-            row, col, residual = kernel(u, v)
+            u = _half_sweep(log_kernel, v, 1, r, m)
+            v = _half_sweep(log_kernel, u, 0, c, m)
+            row, col, residual = _screen(m, np.ones(k), np.ones(b), r, c)
     return CodeMatrix(m, u, steps, bool(residual < TOLERANCE), backtracks,
                       fallback_sweeps, inexact_steps, float(residual))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mmproto import evaluation, gradcheck, numerics, objective
+from mmproto import evaluation, gradcheck, numerics, objective, sinkhorn
 from mmproto.cli import (CONFIG_FLAGS, CORPUS_FLAGS, EXIT_IO, EXIT_NUMERIC,
                          EXIT_OK, EXIT_USAGE, _build_parser, main)
 from mmproto.data import PairedCorpus, load_corpus, save_corpus
@@ -297,7 +297,7 @@ class TestExitCodes:
          EXIT_IO, "error: {tmp}/scores.csv: line 3 has 1 column(s), line 1 "
                   "has 2"),
         ({"scores.csv": ""}, "codes --scores {tmp}/scores.csv",
-         EXIT_IO, "error: "),
+         EXIT_IO, "error: {tmp}/scores.csv: no scores\n"),
         ({"bad.ckpt": "MMCK\x02"},
          "probe --ckpt {tmp}/bad.ckpt --data {corpus} --probe cluster",
          EXIT_IO, "error: truncated checkpoint"),
@@ -369,11 +369,11 @@ class TestExitCodes:
            EXIT_NUMERIC,
            "numerical error: scores / epsilon overflow at epsilon 1e-310")
           for flag in (" --iters 0", "")],
-        ({"scores.csv": "0.3,-0.5,-0.9,-1.0\n0.6,0.8,0.2,0.5\n"
-                        "0.1,0.9,0.6,-1.0\n"},
+        # the file is read, and its lines named, before any solve
+        ({"scores.csv": "# header\n\n1,2\n3,x\n"},
          "codes --scores {tmp}/scores.csv --epsilon 0.001 --iters 0",
-         EXIT_NUMERIC, "numerical error: codes did not converge: 1000 Newton "
-                       "steps left residual "),
+         EXIT_IO, "error: {tmp}/scores.csv: line 4, column 2: 'x' is not a "
+                  "number\n"),
         ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt --epochs 1 "
              "--batch-size 16 --k 4 --embed-dim 6 --hidden-dims 8 "
              "--temperature 1e-310",
@@ -509,6 +509,14 @@ class TestExitCodes:
         ({}, "pretrain --data {corpus} --out {tmp}/x.ckpt "
              "--metrics {tmp}/no/x.jsonl",
          EXIT_IO, "error: --metrics {tmp}/no/x.jsonl: no directory {tmp}/no"),
+        ({"scores.csv": "1,2,\n3,4,\n"}, "codes --scores {tmp}/scores.csv",
+         EXIT_IO, "error: {tmp}/scores.csv: line 1, column 3: '' is not a "
+                  "number\n"),
+        ({"scores.csv": "1 2\n3 4\n"}, "codes --scores {tmp}/scores.csv",
+         EXIT_IO, "error: {tmp}/scores.csv: line 1, column 1: '1 2' is not a "
+                  "number\n"),
+        ({"scores.csv": "1,2\n3,\xff\n"}, "codes --scores {tmp}/scores.csv",
+         EXIT_IO, "error: {tmp}/scores.csv: line 2 is not UTF-8 text\n"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_exit_code_and_prefix(self, tmp_path, corpus_file, trained_ckpt,
@@ -537,13 +545,29 @@ class TestExitCodes:
         at = blob.index(b"param.adapter1.w") + len("param.adapter1.w") + 12
         blob[at:at + 8] = np.float64(np.inf).tobytes()
         (tmp_path / "nan.ckpt").write_bytes(bytes(blob))
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
+        for name, text in files.items():  # one byte per character
+            (tmp_path / name).write_bytes(text.encode("latin-1"))
         argv = argv.format(tmp=tmp_path, corpus=corpus_file, ckpt=trained_ckpt)
         got, _, err = run(capsys, *argv.split())
         assert got == code
         assert err.startswith(prefix.format(tmp=tmp_path)), err
         assert not list(tmp_path.glob("x.*")), "a failed command wrote output"
+
+    def test_unconverged_codes_exit_numeric(self, tmp_path, capsys,
+                                            monkeypatch):
+        """A converged solve that stops at `MAX_NEWTON_STEPS` is exit 3,
+        with its step count and residual, and prints no codes."""
+        monkeypatch.setattr(sinkhorn, "MAX_NEWTON_STEPS", 0)
+        scores = np.array([[0.3, -0.5, -0.9], [0.6, 0.8, 0.2]])
+        codes = sinkhorn.compute_codes(scores, sinkhorn.converged_config(0.05))
+        assert not codes.converged
+        path = tmp_path / "scores.csv"
+        path.write_text("0.3,-0.5,-0.9\n0.6,0.8,0.2\n")
+        code, out, err = run(capsys, "codes", "--scores", str(path),
+                             "--iters", "0")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err == ("numerical error: codes did not converge: 0 Newton "
+                       f"steps left residual {codes.residual:.3g}\n")
 
     @pytest.mark.filterwarnings("default::UserWarning")
     def test_warning_is_one_labelled_line(self, tmp_path, corpus_file,

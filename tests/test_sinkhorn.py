@@ -30,6 +30,21 @@ def clustered_scores(rng, k, b, dim=8):
     return around(k) @ around(b).T
 
 
+def block_scores(k, b, seed):
+    """Scores of eight clusters of unequal size, as a trained encoder gives
+    them: the K rows form blocks in proportion 200:150:100:80:60:50:40:20
+    (sizes floored, the remainder to the first), the B columns eight equal
+    blocks, column j in block floor(8 j / B). A score is +1 where a row's
+    block meets its column's and -1 elsewhere, plus 0.01 N(0, 1) noise."""
+    weights = np.array([200, 150, 100, 80, 60, 50, 40, 20])
+    sizes = k * weights // weights.sum()
+    sizes[0] += k - sizes.sum()
+    rows = np.repeat(np.arange(8), sizes)
+    cols = 8 * np.arange(b) // b
+    scores = np.where(rows[:, None] == cols, 1.0, -1.0)
+    return scores + 0.01 * np.random.default_rng(seed).standard_normal((k, b))
+
+
 def entropy(q: CodeMatrix | np.ndarray) -> float:
     """Shannon entropy -sum(q log q) with 0 log 0 := 0."""
     m = q.q if isinstance(q, CodeMatrix) else as_matrix(q)
@@ -432,6 +447,41 @@ class TestTrialScreen:
         assert np.ptp(v, axis=0).max() < 1e-11
 
 
+class TestHalfSweep:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_fits_the_lines_and_forms_their_kernel(self, axis):
+        """Every line along `axis` sums to the target, and the potentials
+        it returns rebuild the kernel it leaves in m."""
+        rng = np.random.default_rng(2)
+        log_kernel = random_scores(rng, 30, 50) / EPS
+        p = rng.normal(size=log_kernel.shape[axis])
+        target = 1.0 / log_kernel.shape[1 - axis]
+        m = np.empty_like(log_kernel)
+        with np.errstate(all="ignore"):  # as compute_codes calls it
+            fitted = sinkhorn._half_sweep(log_kernel, p, axis, target, m)
+        np.testing.assert_allclose(m.sum(axis=axis), target, rtol=1e-12)
+        u, v = (p, fitted) if axis == 0 else (fitted, p)
+        np.testing.assert_allclose(
+            np.exp(log_kernel + u[:, None] + v[None, :]), m, rtol=1e-12)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_no_line_underflows(self, axis):
+        """At epsilon 1e-3 a line of -1 scores underflows exp(scores /
+        epsilon) to zero; the half-sweep still fits every line."""
+        rng = np.random.default_rng(3)
+        scores = np.where(rng.random((6, 9)) < 0.5, 1.0, -1.0)
+        scores[0, :] = scores[:, 0] = -1.0
+        assert not np.exp(scores[0] / 1e-3).any()
+        assert not np.exp(scores[:, 0] / 1e-3).any()
+        m = np.empty_like(scores)
+        target = 1.0 / scores.shape[1 - axis]
+        with np.errstate(all="ignore"):  # as compute_codes calls it
+            fitted = sinkhorn._half_sweep(scores / 1e-3, np.zeros(
+                scores.shape[axis]), axis, target, m)
+        assert np.isfinite(fitted).all() and np.isfinite(m).all()
+        np.testing.assert_allclose(m.sum(axis=axis), target, rtol=1e-12)
+
+
 class TestDiagnostics:
     def test_warm_start_of_a_perturbed_problem(self):
         """The potentials of one solve start the solve of a slightly moved
@@ -569,6 +619,15 @@ class TestDiagnostics:
         assert codes.converged and codes.backtracks >= 10
         assert max(codes.marginal_deviation()) < 1e-8
         np.testing.assert_allclose(codes.q, plain.q, atol=1e-8)
+
+    @pytest.mark.parametrize("k,b", [(64, 90), (90, 64)])
+    def test_fallback_sweeps_on_unequal_clusters(self, k, b):
+        """On scores of unequal clusters some Newton steps reject all their
+        trials, with no patched direction: the fallback sweeps still lead
+        to the marginals."""
+        codes = compute_codes(block_scores(k, b, 0), converged_config(EPS))
+        assert codes.converged and codes.fallback_sweeps > 0
+        assert max(codes.marginal_deviation()) < 1e-8
 
     def test_non_finite_directions_take_the_sweep(self, monkeypatch):
         """A Newton direction that is not finite is a failed step: the
